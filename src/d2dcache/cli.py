@@ -129,6 +129,14 @@ def _scenario_hash(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+def _file_sha256(path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
 def _header_line(scn_hash: str, seed) -> str:
     return f"# d2dcache {__version__}, scenario={scn_hash}, seed={'none' if seed is None else seed}"
 
@@ -189,6 +197,7 @@ def cmd_fit(args) -> int:
     payload = {
         "command": "fit",
         "log": Path(args.log).name,
+        "log_sha256": _file_sha256(args.log),
         "m": result.m,
         "search": search_kwargs or "defaults",
         "since": since,

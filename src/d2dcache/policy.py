@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
-from .popularity import MZipfDist
+from .popularity import MZipfDist, _guide_table
 
 __all__ = [
     "CachingPolicy",
@@ -71,6 +72,11 @@ class CachingPolicy:
     nu: float
     m_star: int
     exponent_denom: int
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        # inversion table of the placement draw, built once per policy
+        return _guide_table(self.probs)
 
 
 def waterfill(dist: MZipfDist, s: int, g_c: int) -> CachingPolicy:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,10 @@ __all__ = [
 # Chunk length for streamed summation / sampling; keeps peak memory flat
 # without hurting the pairwise accumulation inside each chunk.
 _CHUNK = 1 << 22
+
+# Steps of the guide-table walk before the rest of a draw is bisected;
+# the expected walk is below one step, so few draws ever get this far.
+_WALK_STEPS = 4
 
 
 def partial_sum(gamma: float, q: float, a: int, b: int) -> float:
@@ -63,6 +68,50 @@ def partial_sum(gamma: float, q: float, a: int, b: int) -> float:
         j = np.arange(lo, hi + 1, dtype=np.float64)
         totals.append(float(np.sum((j + q) ** (-gamma))))
     return math.fsum(totals)
+
+
+def _guide_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inversion table ``(edges, guide)`` for :func:`_invert` over ranks ``1..m``.
+
+    ``edges[r]`` is the cdf at rank ``r``: ``edges[0] = 0`` and the top
+    entry is forced to 1.0 against rounding.  With ``K = m`` buckets (Chen
+    & Asau, 1974), ``guide[b]`` is one more than the number of cdf values
+    ``c`` with ``fl(c*K) < b``: the lowest rank a uniform in bucket ``b``
+    can map to.  O(m log m) to build.
+    """
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    m = len(cdf)
+    edges = np.concatenate(([0.0], cdf))
+    guide = np.searchsorted(cdf * m, np.arange(m + 1), side="left") + 1
+    return edges, guide
+
+
+def _invert(table: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
+    """Ranks ``np.searchsorted(cdf, u, side="right") + 1`` of uniforms in [0, 1).
+
+    The lookup starts at rank ``guide[floor(fl(u*K))]`` and walks up
+    while ``edges[rank] <= u``.  Rounding of ``c*K`` is monotone in ``c``,
+    so every cdf value the guide counts for that bucket lies below ``u``:
+    the start never overshoots, and the walk ends on exactly the rank that
+    ``searchsorted`` returns.  The expected walk is O(1) steps per draw.
+    A draw still walking after ``_WALK_STEPS`` steps sits in a bucket that
+    holds a long run of cdf values, such as the flat tail of a placement
+    cdf; a binary search over ``edges`` finishes it in O(log m).
+    """
+    edges, guide = table
+    shape = u.shape
+    u = u.ravel()
+    ranks = guide[(u * (len(guide) - 1)).astype(np.intp)]
+    walk = np.flatnonzero(edges[ranks] <= u)
+    for _ in range(_WALK_STEPS):
+        if not walk.size:
+            break
+        ranks[walk] += 1
+        walk = walk[edges[ranks[walk]] <= u[walk]]
+    if walk.size:
+        ranks[walk] = np.searchsorted(edges, u[walk], side="right")
+    return ranks.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -126,7 +175,6 @@ class MZipfDist:
     m: int
     normalizer: float = field(init=False, repr=False)
     probs: np.ndarray = field(init=False, repr=False)
-    _cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -140,12 +188,13 @@ class MZipfDist:
         norm = partial_sum(self.gamma, self.q, 1, self.m)
         probs = weights / norm
         probs.flags.writeable = False
-        cdf = np.cumsum(probs)
-        cdf[-1] = 1.0  # guard searchsorted against rounding at the top end
-        cdf.flags.writeable = False
         object.__setattr__(self, "normalizer", norm)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_cdf", cdf)
+
+    @cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        # built on the first draw: analysis and fitting never pay for it
+        return _guide_table(self.probs)
 
     def pmf(self, f):
         """Probability of rank ``f`` (scalar or array of ints in ``1..m``)."""
@@ -156,21 +205,20 @@ class MZipfDist:
         return float(out) if np.isscalar(f) or idx.ndim == 0 else out
 
     def sample(self, rng: np.random.Generator, size=None):
-        """Draw ranks by inversion of the precomputed cdf.
+        """Draw ranks by inversion of the cdf through a guide table.
 
         Returns a python int when ``size`` is None, else an int64 array of
-        the requested shape.  Cost is O(log m) per draw after the O(m)
-        setup, and draws are chunked so very large requests stay within a
-        flat memory budget.
+        the requested shape.  The first draw builds the cdf and its guide
+        table, O(m) memory; after that a draw costs O(1) expected time.
+        Draws are chunked so very large requests stay within a flat memory
+        budget.
         """
         if size is None:
-            u = rng.random()
-            return int(np.searchsorted(self._cdf, u, side="right")) + 1
+            return int(_invert(self._table, np.array([rng.random()]))[0])
         shape = (size,) if np.isscalar(size) else tuple(size)
         n = int(np.prod(shape))
         out = np.empty(n, dtype=np.int64)
         for lo in range(0, n, _CHUNK):
             hi = min(lo + _CHUNK, n)
-            u = rng.random(hi - lo)
-            out[lo:hi] = np.searchsorted(self._cdf, u, side="right") + 1
+            out[lo:hi] = _invert(self._table, rng.random(hi - lo))
         return out.reshape(shape)

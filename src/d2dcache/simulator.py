@@ -14,6 +14,14 @@ The per-realization accounting identity
 
 is verified on every realization; a violation raises InvariantError since
 it can only come from a bookkeeping bug.
+
+Who holds what is counted in a table with one row per cluster and one
+column per rank up to the largest rank cached in the realization.  The
+placement draws from the support ``1..m_star`` of the water-filling
+policy, so the table has at most ``n_clusters * (m_star + 1)`` entries
+whatever the library size ``m``.  The one exception is a uniform in the
+rounding gap (of order 1e-16) between the support's cdf and 1.0, which
+lands on rank ``m``.
 """
 
 from __future__ import annotations
@@ -21,11 +29,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, InvariantError
 from .policy import CachingPolicy
+from .popularity import _invert
 
 __all__ = [
     "NetworkConfig",
@@ -95,6 +105,13 @@ class NetworkConfig:
         u = np.arange(self.n)
         return (u // side // tile) * tiles + (u % side) // tile
 
+    @cached_property
+    def _clusters(self) -> np.ndarray:
+        # the cluster map shared by every trial of this config
+        clusters = self.cluster_map()
+        clusters.flags.writeable = False
+        return clusters
+
 
 @dataclass(frozen=True)
 class Realization:
@@ -107,30 +124,20 @@ class Realization:
     good_clusters: int
 
 
-def _placement_sampler(policy: CachingPolicy):
-    cdf = np.cumsum(policy.probs)
-    cdf[-1] = 1.0
-
-    def draw(rng: np.random.Generator, size):
-        return np.searchsorted(cdf, rng.random(size), side="right").astype(np.int64) + 1
-
-    return draw
-
-
 def realize(config: NetworkConfig, dist, policy: CachingPolicy,
             rng: np.random.Generator) -> Realization:
     """Draw one network state: caches, requests and who gets served."""
     n = config.n
-    clusters = config.cluster_map()
-    draw = _placement_sampler(policy)
-    caches = draw(rng, (n, config.s))
+    clusters = config._clusters
+    caches = _invert(policy._table, rng.random((n, config.s)))
     requests = np.asarray(dist.sample(rng, n), dtype=np.int64)
 
-    n_files = int(max(caches.max(), requests.max()))
-    width = n_files + 1
+    # one column per rank up to the largest cached one; ranks start at 1, so
+    # column 0 stays empty and takes the requests no cache in the network holds
+    width = int(caches.max()) + 1
     slot_keys = (clusters[:, None] * width + caches).ravel()
     held = np.bincount(slot_keys, minlength=config.n_clusters * width)
-    req_keys = clusters * width + requests
+    req_keys = clusters * width + np.where(requests < width, requests, 0)
     own_slots = np.count_nonzero(caches == requests[:, None], axis=1)
     linked = held[req_keys] - own_slots >= 1
     self_hit = own_slots >= 1
@@ -151,7 +158,7 @@ def realize(config: NetworkConfig, dist, policy: CachingPolicy,
 def per_user_throughput(config: NetworkConfig, real: Realization) -> np.ndarray:
     """Rate each user receives: the cluster link is split round-robin
     among its linked users; self-hits consume no airtime."""
-    clusters = config.cluster_map()
+    clusters = config._clusters
     out = np.zeros(config.n)
     share = np.zeros(config.n_clusters)
     active = real.potential_links > 0

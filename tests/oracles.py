@@ -8,9 +8,60 @@ water-filling solution.  Tests compare the package against these.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
+
+from d2dcache.simulator import Realization
+
+
+def placement_cdf(probs):
+    """Running sum of a pmf with its top entry forced to 1.0."""
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    return cdf
+
+
+def bisect_ranks(cdf, u):
+    """Ranks 1..m of uniforms ``u`` by inversion of ``cdf``, one bisection each."""
+    cdf = cdf.tolist()
+    return np.array([bisect.bisect_right(cdf, x) + 1 for x in np.ravel(u).tolist()],
+                    dtype=np.int64).reshape(np.shape(u))
+
+
+def dense_table_realize(config, dist, policy, rng):
+    """One network state, computed as the first simulator did.
+
+    Binary-search inversion of both cdfs, then a held-count table with a
+    column for every rank up to the largest cached *or requested* one.
+    Consumes the generator exactly as ``simulator.realize`` must.
+    """
+    n = config.n
+    clusters = config.cluster_map()
+    u = rng.random((n, config.s))
+    caches = np.searchsorted(placement_cdf(policy.probs), u, side="right") + 1
+    u = rng.random(n)
+    requests = np.searchsorted(placement_cdf(dist.probs), u, side="right") + 1
+
+    width = int(max(caches.max(), requests.max())) + 1
+    slot_keys = (clusters[:, None] * width + caches).ravel()
+    held = np.bincount(slot_keys, minlength=config.n_clusters * width)
+    req_keys = clusters * width + requests
+    own_slots = np.count_nonzero(caches == requests[:, None], axis=1)
+    linked = held[req_keys] - own_slots >= 1
+    self_hit = own_slots >= 1
+    served = (linked | self_hit) if config.include_self_cache else linked
+    potential_links = np.bincount(clusters[linked], minlength=config.n_clusters)
+    return Realization(
+        caches=caches,
+        requests=requests,
+        linked=linked,
+        self_hit=self_hit,
+        served=served,
+        potential_links=potential_links,
+        good_clusters=int(np.count_nonzero(potential_links)),
+    )
 
 
 def naive_partial_sum(gamma, q, a, b):

@@ -49,6 +49,20 @@ class TestFit:
         out = capsys.readouterr().out
         assert "gamma=" in out and "200000 unique accesses" in out
 
+    def test_scenario_hash_covers_log_content(self, tmp_path):
+        # same file name each time; only the log's content should matter
+        bodies = ("u1,f1\nu2,f1\nu3,f2\n", "u1,f1\nu2,f2\nu3,f2\n", "u1,f1\nu2,f1\nu3,f2\n")
+        hashes = []
+        for i, body in enumerate(bodies):
+            log = tmp_path / f"d{i}" / "accesses.csv"
+            log.parent.mkdir()
+            log.write_text("user_id,content_id\n" + body)
+            out = tmp_path / f"o{i}"
+            assert main(["fit", "--log", str(log), "--out", str(out)]) == 0
+            hashes.append(json.loads((out / "fit_result.json").read_text())["_meta"]["scenario"])
+        assert hashes[0] != hashes[1]
+        assert hashes[0] == hashes[2]
+
     def test_empty_log_is_config_error(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
         log.write_text("user_id,content_id\n")

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2dcache import DomainError, MZipfDist, partial_sum, partial_sum_bounds
+from d2dcache.policy import waterfill
+from d2dcache.popularity import _guide_table, _invert
 
-from oracles import mpmath_normalizer, naive_partial_sum
+from oracles import bisect_ranks, mpmath_normalizer, naive_partial_sum, placement_cdf
 
 
 def test_pmf_hand_example():
@@ -137,3 +141,51 @@ def test_sampling_deterministic_given_seed():
     b = d.sample(np.random.default_rng(123), 5000)
     np.testing.assert_array_equal(a, b)
     assert isinstance(d.sample(np.random.default_rng(0)), int)
+
+
+def _edge_uniforms(cdf, rng, size):
+    """Random uniforms plus every bucket edge k/m and cdf value, each with
+    the floats just below and above it, restricted to [0, 1)."""
+    m = len(cdf)
+    points = np.concatenate([np.arange(m + 1) / m, cdf])
+    u = np.concatenate([
+        rng.random(size), points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+    ])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 1000, 100_000])
+def test_guide_table_inversion_matches_bisection(m):
+    dist = MZipfDist(gamma=1.28, q=34.0, m=m)
+    # a placement has a zero tail, so its cdf is flat after the support; a
+    # uniform pmf puts cdf values within rounding of the bucket edges
+    for probs in (dist.probs, waterfill(dist, 1, 4).probs, np.full(m, 1.0 / m)):
+        cdf = placement_cdf(probs)
+        u = _edge_uniforms(cdf, np.random.default_rng(m), 20_000)
+        np.testing.assert_array_equal(_invert(_guide_table(probs), u), bisect_ranks(cdf, u))
+
+
+@pytest.mark.parametrize("m", [1, 7, 1000])
+def test_sample_matches_bisection_of_the_same_stream(m):
+    dist = MZipfDist(gamma=0.6, q=20.0, m=m)
+    cdf = placement_cdf(dist.probs)
+    got = dist.sample(np.random.default_rng(5), (30, 40))
+    want = bisect_ranks(cdf, np.random.default_rng(5).random((30, 40)))
+    np.testing.assert_array_equal(got, want)
+    one = dist.sample(np.random.default_rng(6))
+    assert one == bisect_ranks(cdf, [np.random.default_rng(6).random()])[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-12, 1.0)), min_size=1, max_size=40
+    ).filter(lambda w: sum(w) > 0),
+    u=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+)
+def test_guide_table_inversion_property(weights, u):
+    probs = np.array(weights) / math.fsum(weights)
+    cdf = placement_cdf(probs)
+    u = np.concatenate([np.array(u, dtype=np.float64), cdf, np.nextafter(cdf, 0.0)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    np.testing.assert_array_equal(_invert(_guide_table(probs), u), bisect_ranks(cdf, u))

@@ -5,6 +5,10 @@ statistical tests pin the estimator to the exact hit probability within
 3 standard errors under fixed seeds.
 """
 
+import dataclasses
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,12 +17,15 @@ from d2dcache.policy import CachingPolicy, hit_probability, waterfill
 from d2dcache.popularity import MZipfDist
 from d2dcache.simulator import (
     NetworkConfig,
+    Realization,
     monte_carlo,
     per_user_throughput,
     realize,
     sweep,
     throughput_accounting,
 )
+
+from oracles import dense_table_realize
 
 
 def naive_service(config, caches, requests, clusters):
@@ -129,6 +136,44 @@ class TestRealize:
         assert np.array_equal(r2.served, r2.linked | r2.self_hit)
 
 
+    @pytest.mark.parametrize(
+        "n_clusters,s,self_cache",
+        [
+            (2500, 1, False),  # g_c = 4: most requests lie above every cached rank
+            (2500, 2, True),
+            (400, 1, True),
+            (100, 3, False),
+            (4, 1, True),
+        ],
+    )
+    def test_matches_dense_table_reference(self, n_clusters, s, self_cache):
+        dist = MZipfDist(0.6, 20.0, 1000)
+        cfg = NetworkConfig(n=10_000, n_clusters=n_clusters, s=s, k=4,
+                            include_self_cache=self_cache)
+        policy = waterfill(dist, s, cfg.g_c)
+        for seed in range(3):
+            got = realize(cfg, dist, policy, np.random.default_rng(seed))
+            want = dense_table_realize(cfg, dist, policy, np.random.default_rng(seed))
+            for f in dataclasses.fields(Realization):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype, f.name
+
+    def test_held_table_does_not_grow_with_library(self):
+        # a table with a column for every requested rank would need
+        # n_clusters * (m + 1) = 2.5e10 entries here, about 200 GB
+        dist = MZipfDist(0.6, 20.0, 100_000)
+        cfg = NetworkConfig(n=1_000_000, n_clusters=250_000, s=1, k=4)
+        policy = waterfill(dist, cfg.s, cfg.g_c)
+        tracemalloc.start()
+        try:
+            real = realize(cfg, dist, policy, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert real.requests.max() > real.caches.max()
+        assert peak < 200e6
+
+
 class TestMonteCarlo:
     def test_estimator_is_unbiased(self):
         # average service rate over trials must sit within 3 stderr of the
@@ -156,6 +201,23 @@ class TestMonteCarlo:
         a = monte_carlo(cfg, dist, policy, trials=24, seed=99, workers=1)
         b = monte_carlo(cfg, dist, policy, trials=24, seed=99, workers=2)
         assert a == b
+
+    def test_lazy_tables_fill_safely_under_threads(self):
+        # fresh dist, policy and config, so the worker threads race to
+        # build the inversion tables and the cluster map
+        def run(workers):
+            dist = MZipfDist(0.8, 5.0, 200)
+            cfg = NetworkConfig(n=400, n_clusters=16, s=1)
+            policy = waterfill(dist, 1, cfg.g_c)
+            return monte_carlo(cfg, dist, policy, trials=32, seed=5, workers=workers)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run(8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == run(1)
 
     def test_outage_decreases_with_gamma(self):
         cfg = NetworkConfig(n=2500, n_clusters=25, s=1, k=1)
