@@ -143,17 +143,6 @@ def test_sampling_deterministic_given_seed():
     assert isinstance(d.sample(np.random.default_rng(0)), int)
 
 
-def _edge_uniforms(cdf, rng, size):
-    """Random uniforms plus every bucket edge k/m and cdf value, each with
-    the floats just below and above it, restricted to [0, 1)."""
-    m = len(cdf)
-    points = np.concatenate([np.arange(m + 1) / m, cdf])
-    u = np.concatenate([
-        rng.random(size), points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
-    ])
-    return u[(u >= 0.0) & (u < 1.0)]
-
-
 @pytest.mark.parametrize("m", [1, 2, 7, 1000, 100_000])
 def test_guide_table_inversion_matches_bisection(m):
     dist = MZipfDist(gamma=1.28, q=34.0, m=m)
@@ -161,7 +150,14 @@ def test_guide_table_inversion_matches_bisection(m):
     # uniform pmf puts cdf values within rounding of the bucket edges
     for probs in (dist.probs, waterfill(dist, 1, 4).probs, np.full(m, 1.0 / m)):
         cdf = placement_cdf(probs)
-        u = _edge_uniforms(cdf, np.random.default_rng(m), 20_000)
+        # random uniforms, then every bucket edge k/m and every cdf value,
+        # each with the floats just below and above it
+        points = np.concatenate([np.arange(m + 1) / m, cdf])
+        u = np.concatenate([
+            np.random.default_rng(m).random(20_000),
+            points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+        ])
+        u = u[(u >= 0.0) & (u < 1.0)]
         np.testing.assert_array_equal(_invert(_guide_table(probs), u), bisect_ranks(cdf, u))
 
 

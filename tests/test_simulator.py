@@ -135,7 +135,6 @@ class TestRealize:
         assert np.all(r2.served >= r1.served)
         assert np.array_equal(r2.served, r2.linked | r2.self_hit)
 
-
     @pytest.mark.parametrize(
         "n_clusters,s,self_cache",
         [
