@@ -10,7 +10,7 @@ The KL objective decomposes as
     kl(gamma, q) = sum_r p_r ln p_r + gamma * sum_r p_r ln(r + q) + ln H
 
 with ``H`` the model normalizer, so the data-dependent pieces are
-precomputed once per ``q`` and each grid point costs one normalizer sum.
+computed once per ``q`` and each grid point costs one O(1) normalizer sum.
 The search is deterministic: no randomness, ties broken toward smaller
 ``(kl, gamma, q)`` lexicographically.
 """
@@ -163,8 +163,7 @@ def fit_mzipf(emp: EmpiricalPopularity, m: int | None = None,
     if emp.total == 0:
         raise DomainError("no unique accesses")
     r_obs = len(emp.counts)
-    if m is None:
-        m = r_obs
+    m = r_obs if m is None else m
     if m < r_obs:
         raise DomainError(f"library size {m} smaller than observed ranks {r_obs}")
     s = search or FitSearch()
@@ -179,49 +178,34 @@ def fit_mzipf(emp: EmpiricalPopularity, m: int | None = None,
     ranks = np.arange(1, r_obs + 1, dtype=float)
     plogp = float(np.sum(p * np.log(p)))
     evals = 0
-
-    def kl_at(gamma: float, q: float) -> float:
-        nonlocal evals
-        evals += 1
-        cross = gamma * float(p @ np.log(ranks + q))
-        return plogp + cross + math.log(partial_sum(gamma, q, 1, m))
-
     best = (math.inf, math.inf, math.inf)  # (kl, gamma, q)
-    gammas = np.linspace(g_lo, g_hi, s.coarse_steps)
+
+    def scan(g_pts, q_pts):
+        nonlocal evals, best
+        for q in q_pts.tolist():
+            cross = float(p @ np.log(ranks + q))
+            for g in g_pts.tolist():
+                evals += 1
+                kl = plogp + g * cross + math.log(partial_sum(g, q, 1, m))
+                best = min(best, (kl, g, q))
+
     qs = _q_grid(q_lo, q_hi, s.coarse_steps)
-    for q in qs:
-        lw = np.log(ranks + q)
-        for g in gammas:
-            evals += 1
-            kl = plogp + g * float(p @ lw) + math.log(partial_sum(g, q, 1, m))
-            cand = (kl, float(g), float(q))
-            if cand < best:
-                best = cand
+    scan(np.linspace(g_lo, g_hi, s.coarse_steps), qs)
 
     # local box sized to the coarse cell around the incumbent
     w_g = (g_hi - g_lo) / max(s.coarse_steps - 1, 1)
     qi = int(np.argmin(np.abs(qs - best[2])))
-    nb = []
-    if qi > 0:
-        nb.append(qs[qi] - qs[qi - 1])
-    if qi < len(qs) - 1:
-        nb.append(qs[qi + 1] - qs[qi])
-    w_q = max(nb) if nb else max(q_hi - q_lo, 1.0)
+    w_q = max(np.diff(qs)[max(qi - 1, 0):qi + 1], default=max(q_hi - q_lo, 1.0))
 
     for _ in range(s.refine_rounds):
         g0, q0 = best[1], best[2]
         g_pts = np.linspace(max(g_lo, g0 - w_g), min(g_hi, g0 + w_g), s.refine_points)
         q_pts = np.linspace(max(q_lo, q0 - w_q), min(q_hi, q0 + w_q), s.refine_points)
-        for q in q_pts:
-            for g in g_pts:
-                cand = (kl_at(float(g), float(q)), float(g), float(q))
-                if cand < best:
-                    best = cand
+        scan(g_pts, q_pts)
         w_g /= s.shrink
         w_q /= s.shrink
 
-    dist = MZipfDist(best[1], best[2], m)
-    kl_final = kl_divergence(p, dist.pmf(np.arange(1, r_obs + 1)))
+    kl_final = kl_divergence(p, MZipfDist(best[1], best[2], m).probs[:r_obs])
     return FitResult(gamma=best[1], q=best[2], m=m, kl=kl_final, evaluations=evals)
 
 

@@ -13,7 +13,11 @@ import math
 
 import numpy as np
 
+from d2dcache.errors import DomainError
 from d2dcache.simulator import Realization
+
+# chunk length of the first, streamed partial sum
+_CHUNK = 1 << 22
 
 
 def placement_cdf(probs):
@@ -70,6 +74,45 @@ def naive_partial_sum(gamma, q, a, b):
     for j in range(a, b + 1):
         total += (j + q) ** (-gamma)
     return total
+
+
+def streamed_partial_sum(gamma, q, a, b):
+    """The first ``partial_sum``, kept verbatim: every term, summed in chunks.
+
+    Terms are accumulated chunk-wise with numpy's pairwise summation and the
+    chunk totals are combined exactly (math.fsum).  ``MZipfDist`` must
+    still normalize to exactly this value.
+    """
+    if q < 0:
+        raise DomainError(f"q must be >= 0, got {q}")
+    a = int(a)
+    b = int(b)
+    if a < 1 or b < a:
+        raise DomainError(f"need 1 <= a <= b, got a={a}, b={b}")
+    totals = []
+    for lo in range(a, b + 1, _CHUNK):
+        hi = min(lo + _CHUNK - 1, b)
+        j = np.arange(lo, hi + 1, dtype=np.float64)
+        totals.append(float(np.sum((j + q) ** (-gamma))))
+    return math.fsum(totals)
+
+
+def hurwitz_partial_sum(gamma, q, a, b, dps=80):
+    """``sum_{j=a..b} (j+q)^(-gamma)`` as a difference of Hurwitz zetas.
+
+    ``zeta(gamma, a+q) - zeta(gamma, b+1+q)``, or the digamma difference
+    ``psi(b+1+q) - psi(a+q)`` at ``gamma = 1``.  Near ``gamma = 1`` both
+    zetas are close to ``1/(gamma-1)`` and cancel, so the working precision
+    must exceed double precision by that many digits.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        g, x = mpmath.mpf(gamma), mpmath.mpf(q) + a
+        y = mpmath.mpf(q) + b + 1
+        if g == 1:
+            return float(mpmath.digamma(y) - mpmath.digamma(x))
+        return float(mpmath.zeta(g, x) - mpmath.zeta(g, y))
 
 
 def mpmath_normalizer(gamma, q, m, dps=50):

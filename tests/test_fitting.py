@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from d2dcache import fitting
 from d2dcache.errors import DomainError
 from d2dcache.fitting import (
     AccessRecord,
@@ -21,7 +22,7 @@ from d2dcache.fitting import (
 )
 from d2dcache.popularity import MZipfDist
 
-from oracles import hashmap_dedupe
+from oracles import hashmap_dedupe, streamed_partial_sum
 
 
 def rec(u, c, ts=None):
@@ -165,6 +166,12 @@ class TestFit:
         s = FitSearch()
         fr = fit_mzipf(emp, m=300, search=s)
         assert fr.evaluations == s.coarse_steps**2 + s.refine_rounds * s.refine_points**2
+
+    def test_same_result_with_streamed_normalizer(self, monkeypatch):
+        emp = emp_from_sample(MZipfDist(1.28, 34.0, 5000), 50_000, np.random.default_rng(17))
+        fast = fit_mzipf(emp, m=5000)
+        monkeypatch.setattr(fitting, "partial_sum", streamed_partial_sum)
+        assert fit_mzipf(emp, m=5000) == fast
 
     def test_coarse_grid_optimality(self):
         # with refinement off, the result must be the exhaustive argmin of

@@ -7,9 +7,16 @@ from hypothesis import strategies as st
 
 from d2dcache import DomainError, MZipfDist, partial_sum, partial_sum_bounds
 from d2dcache.policy import waterfill
-from d2dcache.popularity import _guide_table, _invert
+from d2dcache.popularity import _guide_table, _head_terms, _invert
 
-from oracles import bisect_ranks, mpmath_normalizer, naive_partial_sum, placement_cdf
+from oracles import (
+    bisect_ranks,
+    hurwitz_partial_sum,
+    mpmath_normalizer,
+    naive_partial_sum,
+    placement_cdf,
+    streamed_partial_sum,
+)
 
 
 def test_pmf_hand_example():
@@ -26,6 +33,72 @@ def test_partial_sum_matches_naive_oracle():
     got = partial_sum(0.5, 20.0, 1, 1000)
     want = naive_partial_sum(0.5, 20.0, 1, 1000)
     assert math.isclose(got, want, rel_tol=1e-10)
+
+
+def head_len(gamma, q, a=1):
+    """K: the number of terms partial_sum sums exactly from ``a``."""
+    return _head_terms(gamma, q, a, 10**18)
+
+
+NEAR_ONE = [1.0 + d for e in (1e-3, 1e-6, 1e-9, 1e-12) for d in (-e, e)]
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.5, *NEAR_ONE, 1.0, 1.28, 2.0, 5.0])
+def test_partial_sum_matches_hurwitz_oracle(gamma):
+    # q = 10 starts the tail just past the head bound, where truncation shows
+    for q in (0.0, 0.5, 10.0, 34.0, 1e3):
+        k = head_len(gamma, q)
+        for m in sorted({1, max(k, 1), k + 1, k + 2, 19379, 10**5, 10**7}):
+            want = hurwitz_partial_sum(gamma, q, 1, m)
+            assert math.isclose(partial_sum(gamma, q, 1, m), want, rel_tol=1e-14), (q, m)
+        for a, b in ((2, 3), (7, 19379), (1000, 10**5), (12345, 10**7)):
+            want = hurwitz_partial_sum(gamma, q, a, b)
+            assert math.isclose(partial_sum(gamma, q, a, b), want, rel_tol=1e-14), (q, a, b)
+
+
+@pytest.mark.parametrize("gamma", [-1.5, 0.0, 10.0, 20.0, 50.0])
+def test_partial_sum_far_exponents_match_direct_sum(gamma):
+    # mpmath's Hurwitz zeta itself drifts by up to ~1e-12 at gamma >= 20, so
+    # these are checked against the term-by-term sum
+    for q in (0.0, 34.0, 1e3):
+        for m in sorted({head_len(gamma, q) + 1, 2 * 10**4}):
+            want = mpmath_normalizer(gamma, q, m)
+            assert math.isclose(partial_sum(gamma, q, 1, m), want, rel_tol=1e-14), (q, m)
+
+
+def test_partial_sum_head_only_is_bit_identical_to_streamed_sum():
+    for gamma in (0.05, 0.5, 1.0, 1.28, 5.0, 50.0, -1.5):
+        for q in (0.0, 0.5, 3.7):
+            for a in (1, 4):
+                for b in range(a, a + head_len(gamma, q, a)):
+                    assert partial_sum(gamma, q, a, b) == streamed_partial_sum(gamma, q, a, b)
+
+
+@pytest.mark.parametrize("m", [1, 1000, (1 << 22) + 3])
+def test_normalizer_and_probs_bit_identical_to_streamed_sum(m):
+    # partial_sum(0.78, 3.5, 1, m) differs from the streamed sum in the last
+    # bits for m > 1, so this fails if MZipfDist normalizes with it
+    d = MZipfDist(gamma=0.78, q=3.5, m=m)
+    norm = streamed_partial_sum(0.78, 3.5, 1, m)
+    assert d.normalizer == norm
+    weights = (np.arange(1, m + 1, dtype=np.float64) + 3.5) ** (-0.78)
+    np.testing.assert_array_equal(d.probs, weights / norm)
+
+
+def test_head_length_is_least_meeting_remainder_bound():
+    import mpmath
+
+    def factor(gamma, x):  # |B_16|/16! * |(gamma)_16| * x**-16, from the docstring
+        with mpmath.workdps(30):
+            return abs(mpmath.bernoulli(16) * mpmath.rf(gamma, 16)) / mpmath.factorial(16) / x**16
+
+    for gamma in (-1.5, 0.05, 0.5, 1.0, 1.28, 5.0, 20.0, 50.0):
+        for q in (0.0, 0.5, 3.7, 34.0):
+            for a in (1, 4, 100):
+                k = head_len(gamma, q, a)
+                assert factor(gamma, a + k + q) <= 2.0**-53, (gamma, q, a)
+                if k:
+                    assert factor(gamma, a + k - 1 + q) > 2.0**-53, (gamma, q, a)
 
 
 def test_normalizer_matches_high_precision():
@@ -96,9 +169,14 @@ def test_bounds_sandwich_random():
         assert res.lower <= res.exact <= res.upper, (gamma, q, a, b)
 
 
-def test_bounds_reject_gamma_one():
-    with pytest.raises(DomainError):
-        partial_sum_bounds(1.0, 0.0, 1, 10)
+def test_bounds_sandwich_at_gamma_one():
+    for q in (0.0, 0.5, 34.0):
+        for a, b in ((1, 1), (1, 10), (3, 4), (5, 10**5), (1000, 10**7)):
+            res = partial_sum_bounds(1.0, q, a, b)
+            want = hurwitz_partial_sum(1.0, q, a, b)
+            assert res.lower <= want <= res.upper, (q, a, b)
+            assert res.lower <= res.exact <= res.upper, (q, a, b)
+            assert math.isclose(res.lower, math.log((b + q + 1) / (a + q)), rel_tol=1e-14)
 
 
 def test_validation_errors():
