@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, RegimeError
-from .policy import solve_cutoff_constant
+from .policy import _exponent_denom, solve_cutoff_constant
 
 __all__ = [
     "RegimeParams",
@@ -75,14 +75,11 @@ class RegimeParams:
             raise DomainError(f"gamma must be > 0, got {self.gamma}")
         if self.q < 0:
             raise DomainError(f"q must be >= 0, got {self.q}")
-        if self.m < 1 or self.s < 1 or self.g_c < 2:
-            raise DomainError("need m >= 1, s >= 1, g_c >= 2")
+        if self.m < 1:
+            raise DomainError(f"m must be >= 1, got {self.m}")
         if self.k < 1 or not self.c_rate > 0:
             raise DomainError("need k >= 1 and c_rate > 0")
-        if self.phi < 1:
-            raise DomainError(
-                f"cluster too small for policy exponent: s*(g_c-1) = {self.phi + 1} < 2"
-            )
+        _exponent_denom(self.s, self.g_c)
 
     @property
     def phi(self) -> int:
@@ -399,8 +396,8 @@ def theory_points(p: RegimeParams) -> list[TradeoffPoint]:
 
     Emits the hit-rate approximation (or its saturated-regime floor) plus
     the classified leading-order tradeoff point.  Points never include the
-    exact sum or simulation; those sources are added by the simulator
-    sweep so each carries its own tag.
+    exact sum or simulation; ``simulator.curve_points`` and ``sweep`` add
+    those, each with its own tag.
     """
     ck = p.c_rate / p.k
     pts: list[TradeoffPoint] = []

@@ -23,7 +23,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .asymptotics import RegimeParams, TradeoffPoint, theory_points
 from .errors import ConfigError, DomainError, InvariantError
 from .fitting import (
     FitSearch,
@@ -35,7 +34,7 @@ from .fitting import (
 )
 from .policy import asymptotic_constants, hit_probability, waterfill
 from .popularity import MZipfDist
-from .simulator import NetworkConfig, monte_carlo, sweep
+from .simulator import NetworkConfig, curve_points, monte_carlo, sweep
 
 SCENARIO_KEYS = {
     "n", "s", "k", "c_rate", "gamma", "q", "m", "fit_result",
@@ -84,8 +83,11 @@ def load_scenario(path) -> dict:
         if k in raw and not _is_int(raw[k]):
             raise ConfigError(f"scenario key {k!r} must be an integer")
     for k in _NUM_KEYS:
-        if k in raw and (isinstance(raw[k], bool) or not isinstance(raw[k], (int, float))):
-            raise ConfigError(f"scenario key {k!r} must be a number")
+        v = raw.get(k, 0.0)
+        # NaN, infinities and integers too large for a float all fail the range test
+        finite = isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+        if isinstance(v, bool) or not finite:
+            raise ConfigError(f"scenario key {k!r} must be a finite number")
     if "self_cache" in raw and not isinstance(raw["self_cache"], bool):
         raise ConfigError("scenario key 'self_cache' must be a boolean")
     if "cluster_counts" in raw:
@@ -115,6 +117,19 @@ def _network(scn: dict, n_clusters: int) -> NetworkConfig:
         c_rate=float(scn.get("c_rate", 1.0)),
         include_self_cache=bool(scn.get("self_cache", False)),
     )
+
+
+def _configs(scn: dict) -> list[NetworkConfig]:
+    """Configs of the feasible ``cluster_counts``; the others are skipped with a warning."""
+    configs = []
+    for nc in scn["cluster_counts"]:
+        try:
+            configs.append(_network(scn, nc))
+        except ConfigError as e:
+            print(f"warning: cluster count {nc} skipped: {e}", file=sys.stderr)
+    if not configs:
+        raise ConfigError("no feasible cluster counts in scenario")
+    return configs
 
 
 def _effective_seed(args, scn: dict, required: bool):
@@ -276,47 +291,13 @@ def cmd_policy(args) -> int:
     return 0
 
 
-def _curve_rows(scn: dict, dist: MZipfDist):
-    """(points, skipped) of exact and closed-form curves per cluster count."""
-    points = []
-    skipped = []
-    for nc in scn["cluster_counts"]:
-        try:
-            cfg = _network(scn, int(nc))
-        except ConfigError as e:
-            skipped.append((int(nc), str(e)))
-            continue
-        policy = waterfill(dist, cfg.s, cfg.g_c)
-        hit = hit_probability(dist, policy, cfg.s, cfg.g_c)
-        p_good = 1.0 - (1.0 - hit) ** cfg.g_c
-        points.append(
-            TradeoffPoint(
-                g_c=cfg.g_c,
-                outage=1.0 - hit,
-                throughput=(cfg.c_rate / cfg.k) * p_good / cfg.g_c,
-                source="exact_sum",
-            )
-        )
-        points.extend(
-            theory_points(
-                RegimeParams(
-                    gamma=dist.gamma, q=dist.q, m=dist.m, s=cfg.s,
-                    g_c=cfg.g_c, k=cfg.k, c_rate=cfg.c_rate,
-                )
-            )
-        )
-    return points, skipped
-
-
 def cmd_analyze(args) -> int:
     scn = load_scenario(args.scenario)
     _require(scn, ("n", "cluster_counts"), "analyze")
     dist = _dist(scn)
-    points, skipped = _curve_rows(scn, dist)
-    for nc, reason in skipped:
-        print(f"warning: cluster count {nc} skipped: {reason}", file=sys.stderr)
-    if not points:
-        raise ConfigError("no feasible cluster counts in scenario")
+    configs = _configs(scn)
+    points = [p for cfg in configs
+              for p in curve_points(cfg, dist, waterfill(dist, cfg.s, cfg.g_c))]
     scn_hash = _scenario_hash({"command": "analyze", **scn})
     out = _out_dir(args)
     with open(out / "theory_curves.csv", "w", newline="") as fh:
@@ -325,7 +306,8 @@ def cmd_analyze(args) -> int:
         w.writerow(["g_c", "outage", "throughput", "source", "clamped"])
         for p in sorted(points, key=lambda p: (p.g_c, p.source)):
             w.writerow([p.g_c, repr(p.outage), repr(p.throughput), p.source, p.clamped])
-    print(f"analyze: {len(points)} curve points, {len(skipped)} cluster counts skipped")
+    skipped = len(scn["cluster_counts"]) - len(configs)
+    print(f"analyze: {len(points)} curve points, {skipped} cluster counts skipped")
     return 0
 
 
@@ -373,18 +355,8 @@ def cmd_sweep(args) -> int:
     dist = _dist(scn)
     seed = _effective_seed(args, scn, required=True)
     trials = args.trials if args.trials is not None else scn.get("trials", 100)
-    base = None
-    for nc in scn["cluster_counts"]:
-        try:
-            base = _network(scn, int(nc))
-            break
-        except ConfigError:
-            continue
-    if base is None:
-        raise ConfigError("no feasible cluster counts in scenario")
-    result = sweep(base, dist, scn["cluster_counts"], trials, seed, workers=args.workers)
-    for nc, reason in result.skipped:
-        print(f"warning: cluster count {nc} skipped: {reason}", file=sys.stderr)
+    configs = _configs(scn)
+    points = sweep(configs, dist, trials, seed, workers=args.workers)
     scn_hash = _scenario_hash(
         {"command": "sweep", **scn, "trials": trials, "seed": seed}
     )
@@ -397,7 +369,7 @@ def cmd_sweep(args) -> int:
             ["n_clusters", "g_c", "outage", "outage_stderr",
              "throughput", "throughput_stderr", "source"]
         )
-        for p in result.points:
+        for p in points:
             w.writerow(
                 [
                     n // p.g_c,
@@ -409,10 +381,10 @@ def cmd_sweep(args) -> int:
                     p.source,
                 ]
             )
-    n_sim = sum(1 for p in result.points if p.source == "simulated")
+    skipped = len(scn["cluster_counts"]) - len(configs)
     print(
-        f"sweep: {n_sim} cluster counts simulated, {len(result.skipped)} skipped, "
-        f"{len(result.points)} points [{trials} trials/point, seed {seed}]"
+        f"sweep: {len(configs)} cluster counts simulated, {skipped} skipped, "
+        f"{len(points)} points [{trials} trials/point, seed {seed}]"
     )
     return 0
 

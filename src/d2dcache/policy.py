@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .popularity import MZipfDist, _guide_table
 
 __all__ = [
@@ -37,15 +37,20 @@ __all__ = [
 
 
 def _exponent_denom(s: int, g_c: int) -> int:
+    """Tilt exponent ``s*(g_c-1) - 1`` of a cluster geometry, checked to be >= 1.
+
+    The one check of the geometry rule: the network config, the regime
+    parameters and the placement all validate through here.
+    """
     s = int(s)
     g_c = int(g_c)
     if s < 1:
-        raise DomainError(f"s must be >= 1, got {s}")
+        raise ConfigError(f"s must be >= 1, got {s}")
     if g_c < 2:
-        raise DomainError(f"g_c must be >= 2, got {g_c}")
+        raise ConfigError(f"cluster size g_c must be >= 2, got {g_c}")
     phi = s * (g_c - 1) - 1
     if phi < 1:
-        raise DomainError(
+        raise ConfigError(
             f"cluster too small for policy exponent: s*(g_c-1) = {phi + 1} < 2"
         )
     return phi

@@ -193,10 +193,10 @@ class MZipfDist:
     probs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise DomainError(f"gamma must be > 0, got {self.gamma}")
-        if self.q < 0:
-            raise DomainError(f"q must be >= 0, got {self.q}")
+        if not 0 < self.gamma < math.inf:
+            raise DomainError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not 0 <= self.q < math.inf:
+            raise DomainError(f"q must be finite and >= 0, got {self.q}")
         if int(self.m) < 1:
             raise DomainError(f"m must be >= 1, got {self.m}")
         object.__setattr__(self, "m", int(self.m))

@@ -33,19 +33,20 @@ from functools import cached_property
 
 import numpy as np
 
+from .asymptotics import RegimeParams, TradeoffPoint, theory_points
 from .errors import ConfigError, DomainError, InvariantError
-from .policy import CachingPolicy
+from .policy import CachingPolicy, _exponent_denom, hit_probability, waterfill
 from .popularity import _invert
 
 __all__ = [
     "NetworkConfig",
     "Realization",
     "SimResult",
-    "SweepResult",
     "realize",
     "per_user_throughput",
     "throughput_accounting",
     "monte_carlo",
+    "curve_points",
     "sweep",
 ]
 
@@ -77,15 +78,7 @@ class NetworkConfig:
             )
         if self.n % self.n_clusters != 0:
             raise ConfigError(f"n_clusters {self.n_clusters} must divide n {self.n}")
-        g_c = self.n // self.n_clusters
-        if g_c < 2:
-            raise ConfigError(f"cluster size n/n_clusters = {g_c} must be >= 2")
-        if self.s < 1:
-            raise ConfigError(f"s must be >= 1, got {self.s}")
-        if self.s * (g_c - 1) < 2:
-            raise ConfigError(
-                f"cluster too small for policy exponent: s*(g_c-1) = {self.s * (g_c - 1)} < 2"
-            )
+        _exponent_denom(self.s, self.g_c)
         if self.k < 1 or not self.c_rate > 0:
             raise ConfigError("need k >= 1 and c_rate > 0")
 
@@ -244,43 +237,40 @@ def monte_carlo(config: NetworkConfig, dist, policy: CachingPolicy, trials: int,
     )
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    points: list
-    skipped: list  # (n_clusters, reason)
+def curve_points(config: NetworkConfig, dist, policy: CachingPolicy) -> list[TradeoffPoint]:
+    """The exact-sum point of ``policy`` and the closed-form points at ``config``'s geometry."""
+    g_c = config.g_c
+    hit = hit_probability(dist, policy, config.s, g_c)
+    # expected fraction of good clusters, treating users as independent
+    p_good = 1.0 - (1.0 - hit) ** g_c
+    exact = TradeoffPoint(
+        g_c=g_c,
+        outage=1.0 - hit,
+        throughput=(config.c_rate / config.k) * p_good / g_c,
+        source="exact_sum",
+    )
+    regime = RegimeParams(
+        gamma=dist.gamma, q=dist.q, m=dist.m, s=config.s, g_c=g_c,
+        k=config.k, c_rate=config.c_rate,
+    )
+    return [exact, *theory_points(regime)]
 
 
-def sweep(config: NetworkConfig, dist, cluster_counts, trials: int, seed,
-          workers: int = 1) -> SweepResult:
-    """Simulate across cluster counts and attach exact and closed-form curves.
+def sweep(configs, dist, trials: int, seed, workers: int = 1) -> list[TradeoffPoint]:
+    """Simulated point, then :func:`curve_points`, for each config in order.
 
-    Infeasible cluster counts (not a square, not dividing n, cluster too
-    small) are reported in ``skipped`` rather than aborting the sweep.
-    Each feasible count is seeded by (seed, n_clusters) so adding or
-    removing counts does not perturb the others.
+    Each config is seeded by (seed, n_clusters), so adding or removing
+    configs does not perturb the others.
     """
-    from .asymptotics import RegimeParams, TradeoffPoint, theory_points
-    from .policy import hit_probability, waterfill
-
     master = _as_seedseq(seed)
     points = []
-    skipped = []
-    for nc in cluster_counts:
-        try:
-            cfg = NetworkConfig(
-                n=config.n, n_clusters=int(nc), s=config.s, k=config.k,
-                c_rate=config.c_rate, include_self_cache=config.include_self_cache,
-            )
-        except ConfigError as e:
-            skipped.append((int(nc), str(e)))
-            continue
-        g_c = cfg.g_c
-        policy = waterfill(dist, cfg.s, g_c)
-        child = np.random.SeedSequence(entropy=master.entropy, spawn_key=(int(nc),))
+    for cfg in configs:
+        policy = waterfill(dist, cfg.s, cfg.g_c)
+        child = np.random.SeedSequence(entropy=master.entropy, spawn_key=(cfg.n_clusters,))
         sim = monte_carlo(cfg, dist, policy, trials, child, workers=workers)
         points.append(
             TradeoffPoint(
-                g_c=g_c,
+                g_c=cfg.g_c,
                 outage=sim.outage_mean,
                 throughput=sim.throughput_min_mean,
                 source="simulated",
@@ -288,23 +278,5 @@ def sweep(config: NetworkConfig, dist, cluster_counts, trials: int, seed,
                 throughput_stderr=sim.throughput_min_stderr,
             )
         )
-        hit = hit_probability(dist, policy, cfg.s, g_c)
-        # expected fraction of good clusters, treating users as independent
-        p_good = 1.0 - (1.0 - hit) ** g_c
-        points.append(
-            TradeoffPoint(
-                g_c=g_c,
-                outage=1.0 - hit,
-                throughput=(cfg.c_rate / cfg.k) * p_good / g_c,
-                source="exact_sum",
-            )
-        )
-        points.extend(
-            theory_points(
-                RegimeParams(
-                    gamma=dist.gamma, q=dist.q, m=dist.m, s=cfg.s, g_c=g_c,
-                    k=cfg.k, c_rate=cfg.c_rate,
-                )
-            )
-        )
-    return SweepResult(points=points, skipped=skipped)
+        points.extend(curve_points(cfg, dist, policy))
+    return points

@@ -51,7 +51,7 @@ class TestClosedForm:
         x = p.c1 * p.s * p.g_c / p.gamma
         want = mp_closed_form(0.6, 20.0, 1000, x)
         assert not got.clamped
-        assert got.value == pytest.approx(want, rel=1e-12)
+        assert got.value == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_tracks_exact_sum_small_gamma(self):
         # every cluster size below saturation, two gamma values
@@ -69,7 +69,7 @@ class TestClosedForm:
         p = RegimeParams(0.7, 0.0, 5000, 1, 40)
         x = p.c1 * p.s * p.g_c / p.gamma
         want = (p.gamma * x ** (1 - p.gamma) - 1.0) / (p.m ** (1 - p.gamma) - 1.0)
-        assert hit_rate_closed_form(p).value == pytest.approx(want, rel=1e-12)
+        assert hit_rate_closed_form(p).value == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_rejects_saturated_cluster(self):
         p = RegimeParams(0.6, 20.0, 1000, 1, 625)
@@ -98,7 +98,7 @@ class TestFloor:
             want = float(
                 1 - og * mpmath.exp(-(mpmath.mpf(rho) / mpmath.mpf(p.c1) - g)) / (br1 * br2**phi)
             )
-        assert got.value == pytest.approx(want, rel=1e-12)
+        assert got.value == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_converges_to_exact_optimum(self):
         # asymptotic bound: at finite m it sits slightly above the exact
@@ -140,7 +140,7 @@ class TestSmallGammaTradeoff:
         # q = 0 makes c1 = 1 exactly, so t = (c/k)/(rho*m)
         p = RegimeParams(0.6, 0.0, 1000, 1, 600, k=4)
         t = tradeoff_small_gamma(p, "r3", knob=0.6)
-        assert t.throughput == pytest.approx(0.25 / 600.0, rel=1e-12)
+        assert t.throughput == pytest.approx(0.25 / 600.0, rel=1e-12, abs=0)
         assert t.g_c == 600
         assert t.source == "small_gamma_r3"
 
@@ -153,13 +153,13 @@ class TestSmallGammaTradeoff:
         t1 = tradeoff_small_gamma(p1, "r1", knob=1.3)
         t4 = tradeoff_small_gamma(p4, "r1", knob=1.3)
         assert (1 - t4.outage) / (1 - t1.outage) == pytest.approx(
-            4.0 ** (-alpha), rel=1e-9
+            4.0 ** (-alpha), rel=1e-9, abs=0
         )
 
     def test_r2_throughput_identity(self):
         p = RegimeParams(0.6, 20.0, 1000, 1, 100, k=4, c_rate=2.0)
         t = tradeoff_small_gamma(p, "r2")
-        assert t.throughput * t.g_c == pytest.approx(0.5, rel=1e-12)
+        assert t.throughput * t.g_c == pytest.approx(0.5, rel=1e-12, abs=0)
 
     def test_r1_r2_track_exact_outage(self):
         for g_c, regime in ((16, "r1"), (25, "r1"), (100, "r2"), (400, "r2")):
@@ -192,8 +192,8 @@ class TestLargeGammaTradeoff:
             c6 = mpmath.mpf(30.0) / 100
             c1 = mpmath.mpf(p.c1)
             want = float(c6 ** (g - 1) * (c1 + c6) / (c1 / g + c6) ** g)
-        assert t.outage == pytest.approx(want, rel=1e-12)
-        assert t.throughput == pytest.approx(1.0 / 100, rel=1e-12)
+        assert t.outage == pytest.approx(want, rel=1e-12, abs=0)
+        assert t.throughput == pytest.approx(1.0 / 100, rel=1e-12, abs=0)
 
     def test_limit_identity(self):
         # the expression is the m -> infinity limit of the closed form with
@@ -203,7 +203,7 @@ class TestLargeGammaTradeoff:
         x = p.c1 * p.s * p.g_c / p.gamma
         limit = (p.gamma * x + p.q) / ((x + p.q) ** p.gamma * (p.q + 1) ** (1 - p.gamma))
         assert t.outage == pytest.approx(
-            limit * (p.q / (p.q + 1)) ** (p.gamma - 1), rel=1e-12
+            limit * (p.q / (p.q + 1)) ** (p.gamma - 1), rel=1e-12, abs=0
         )
 
     def test_approaches_closed_form_at_scale(self):
@@ -295,7 +295,7 @@ class TestTheoryPoints:
         for g_c in (100, 625):
             p = RegimeParams(0.6, 20.0, 1000, 1, g_c, k=4, c_rate=2.0)
             for t in theory_points(p):
-                assert t.throughput == pytest.approx(0.5 / g_c, rel=1e-9)
+                assert t.throughput == pytest.approx(0.5 / g_c, rel=1e-9, abs=0)
 
 
 class TestRegimeParams:

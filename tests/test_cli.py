@@ -187,6 +187,16 @@ class TestAnalyzeCmd:
         scn = scenario_file(tmp_path / "s.json", **FIG_SCENARIO, cluster_counts=[3])
         assert main(["analyze", "--scenario", scn, "--out", str(tmp_path)]) == 2
 
+    def test_square_grid_keeps_feasible_counts_and_warns_per_skip(self, tmp_path, capsys):
+        counts = [i * i for i in range(2, 28)]
+        scn = scenario_file(tmp_path / "s.json", **FIG_SCENARIO, cluster_counts=counts)
+        assert main(["analyze", "--scenario", scn, "--out", str(tmp_path / "o")]) == 0
+        _, _, rows = read_table(tmp_path / "o" / "theory_curves.csv")
+        assert sorted({int(r["g_c"]) for r in rows}) == [16, 25, 100, 400, 625, 2500]
+        warned = [ln for ln in capsys.readouterr().err.splitlines() if "skipped" in ln]
+        assert sorted(int(ln.split()[3]) for ln in warned) == \
+            [nc for nc in counts if nc not in (4, 16, 25, 100, 400, 625)]
+
 
 class TestSimulateCmd:
     def test_estimate_close_to_exact(self, tmp_path):
@@ -277,7 +287,38 @@ class TestSweepCmd:
         assert main(["sweep", "--scenario", scn, "--out", str(tmp_path)]) == 2
 
 
+class TestSharedCurves:
+    def test_analyze_rows_equal_sweep_non_simulated_rows(self, tmp_path):
+        """Both commands build exact and closed-form rows through one path."""
+        scn = scenario_file(tmp_path / "s.json", **FIG_SCENARIO,
+                            cluster_counts=[7, 4, 16, 25, 100, 400, 625], trials=4)
+        assert main(["analyze", "--scenario", scn, "--out", str(tmp_path / "a")]) == 0
+        assert main(["sweep", "--scenario", scn, "--seed", "3",
+                     "--out", str(tmp_path / "s")]) == 0
+        key = ("g_c", "source", "outage", "throughput")
+        _, _, analyzed = read_table(tmp_path / "a" / "theory_curves.csv")
+        _, _, swept = read_table(tmp_path / "s" / "tradeoff.csv")
+        want = sorted(tuple(r[k] for k in key) for r in analyzed)
+        got = sorted(tuple(r[k] for k in key) for r in swept if r["source"] != "simulated")
+        assert len(want) > 7 and got == want
+
+
 class TestScenarioValidation:
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys):
+        (tmp_path / "fr.json").write_text('{"gamma": NaN, "q": 20.0, "m": 1000}')
+        cases = [
+            ("policy", dict(FIG_SCENARIO, q=float("nan"), n_clusters=100)),
+            ("analyze", dict(FIG_SCENARIO, c_rate=float("inf"), cluster_counts=[100])),
+            ("analyze", dict(FIG_SCENARIO, gamma=float("-inf"), cluster_counts=[100])),
+            ("policy", dict(FIG_SCENARIO, c_rate=10**400, n_clusters=100)),
+            ("policy", dict(n=10000, fit_result="fr.json", n_clusters=100)),
+        ]
+        for i, (cmd, body) in enumerate(cases):
+            scn = scenario_file(tmp_path / f"s{i}.json", **body)
+            assert main([cmd, "--scenario", scn, "--out", str(tmp_path / "o")]) == 2, body
+            assert "must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         scn = tmp_path / "s.json"
         scn.write_text('{"n": 100, "bogus": 1}')

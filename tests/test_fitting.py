@@ -87,7 +87,7 @@ class TestKL:
     def test_worked_example(self):
         got = kl_divergence([0.75, 0.25], [2 / 3, 1 / 3])
         want = 0.75 * math.log(9 / 8) + 0.25 * math.log(3 / 4)
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
         assert got == pytest.approx(0.01641, abs=1e-5)
 
     def test_zero_iff_equal(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from d2dcache import MZipfDist, DomainError
+from d2dcache import ConfigError, DomainError, MZipfDist, NetworkConfig, RegimeParams
 from d2dcache.policy import (
     asymptotic_constants,
     hit_probability,
@@ -48,6 +48,24 @@ def test_small_cluster_rejected():
     pol = waterfill(d, s=2, g_c=2)  # s*(g_c-1) = 2 is the smallest legal
     with pytest.raises(DomainError, match="cluster too small"):
         hit_probability(d, pol, s=1, g_c=2)
+
+
+@pytest.mark.parametrize("s, g_c, reason", [
+    (0, 4, "s must be >= 1"),
+    (1, 1, "g_c must be >= 2"),
+    (1, 2, "cluster too small"),
+])
+def test_geometry_rule_has_one_validator(s, g_c, reason):
+    d = MZipfDist(gamma=1.0, q=0.0, m=10)
+    builders = [lambda: waterfill(d, s, g_c), lambda: RegimeParams(1.0, 0.0, 10, s, g_c)]
+    if g_c != 2:  # g_c = 2 cannot tile a square grid into square clusters
+        builders.append(lambda: NetworkConfig(n=4 * g_c, n_clusters=4, s=s))
+    messages = set()
+    for build in builders:
+        with pytest.raises(ConfigError, match=reason) as err:
+            build()
+        messages.add(str(err.value))
+    assert len(messages) == 1
 
 
 def test_policy_structure_random_instances():

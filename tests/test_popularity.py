@@ -195,6 +195,12 @@ def test_validation_errors():
         d.pmf(11)
 
 
+def test_rejects_non_finite_parameters():
+    for gamma, q in ((math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            MZipfDist(gamma=gamma, q=q, m=10)
+
+
 def test_sampling_statistics():
     d = MZipfDist(gamma=0.9, q=5.0, m=50)
     rng = np.random.default_rng(7)

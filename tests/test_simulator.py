@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from d2dcache.cli import _configs
 from d2dcache.errors import ConfigError, DomainError
 from d2dcache.policy import CachingPolicy, hit_probability, waterfill
 from d2dcache.popularity import MZipfDist
@@ -267,43 +268,46 @@ class TestMonteCarlo:
 class TestSweep:
     CLUSTER_COUNTS = [i * i for i in range(2, 28)]
 
-    def test_infeasible_counts_are_skipped_with_reasons(self):
+    @staticmethod
+    def configs(counts):
+        return [NetworkConfig(n=10_000, n_clusters=nc, s=1, k=4) for nc in counts]
+
+    def test_infeasible_counts_are_skipped_with_reasons(self, capsys):
+        # the CLI turns a count grid into the feasible configs sweep runs
         dist = MZipfDist(0.6, 20.0, 1000)
-        cfg = NetworkConfig(n=10_000, n_clusters=100, s=1, k=4)
-        out = sweep(cfg, dist, self.CLUSTER_COUNTS, trials=8, seed=1)
-        feasible = sorted({p.g_c for p in out.points})
+        scn = dict(n=10_000, s=1, k=4, cluster_counts=self.CLUSTER_COUNTS)
+        out = sweep(_configs(scn), dist, trials=8, seed=1)
+        feasible = sorted({p.g_c for p in out})
         assert feasible == [16, 25, 100, 400, 625, 2500]
-        assert len(out.skipped) == len(self.CLUSTER_COUNTS) - 6
-        assert all(reason for _, reason in out.skipped)
+        skipped = capsys.readouterr().err.splitlines()
+        assert len(skipped) == len(self.CLUSTER_COUNTS) - 6
+        assert all(line.split(" skipped: ")[1] for line in skipped)
 
     def test_sources_present_per_point(self):
         dist = MZipfDist(0.6, 20.0, 1000)
-        cfg = NetworkConfig(n=10_000, n_clusters=100, s=1, k=4)
-        out = sweep(cfg, dist, [100, 16], trials=8, seed=1)
+        out = sweep(self.configs([100, 16]), dist, trials=8, seed=1)
         by_g = {}
-        for p in out.points:
+        for p in out:
             by_g.setdefault(p.g_c, set()).add(p.source)
         assert by_g[100] >= {"simulated", "exact_sum", "closed_form", "small_gamma_r2"}
         assert by_g[625] >= {"simulated", "exact_sum", "lower_bound", "small_gamma_r3"}
 
     def test_simulated_outage_non_increasing_in_cluster_size(self):
         dist = MZipfDist(0.6, 20.0, 1000)
-        cfg = NetworkConfig(n=10_000, n_clusters=100, s=1, k=4)
-        out = sweep(cfg, dist, self.CLUSTER_COUNTS, trials=12, seed=3)
+        out = sweep(self.configs([4, 16, 25, 100, 400, 625]), dist, trials=12, seed=3)
         sim = sorted(
-            (p for p in out.points if p.source == "simulated"), key=lambda p: p.g_c
+            (p for p in out if p.source == "simulated"), key=lambda p: p.g_c
         )
         outages = [p.outage for p in sim]
         assert all(a >= b for a, b in zip(outages, outages[1:])), outages
 
     def test_deterministic_and_order_insensitive_seeding(self):
         dist = MZipfDist(0.6, 20.0, 1000)
-        cfg = NetworkConfig(n=10_000, n_clusters=100, s=1, k=4)
-        a = sweep(cfg, dist, [16, 100], trials=6, seed=9)
-        b = sweep(cfg, dist, [16, 100], trials=6, seed=9)
-        assert a.points == b.points and a.skipped == b.skipped
+        a = sweep(self.configs([16, 100]), dist, trials=6, seed=9)
+        b = sweep(self.configs([16, 100]), dist, trials=6, seed=9)
+        assert a == b
         # dropping one count must not change the other's simulated point
-        c = sweep(cfg, dist, [100], trials=6, seed=9)
-        sim_b = [p for p in b.points if p.source == "simulated" and p.g_c == 100]
-        sim_c = [p for p in c.points if p.source == "simulated"]
+        c = sweep(self.configs([100]), dist, trials=6, seed=9)
+        sim_b = [p for p in b if p.source == "simulated" and p.g_c == 100]
+        sim_c = [p for p in c if p.source == "simulated"]
         assert sim_b == sim_c
