@@ -183,7 +183,8 @@ def cmd_fit(args) -> int:
     if since is not None or until is not None:
         lo = -math.inf if since is None else since
         hi = math.inf if until is None else until
-        records = [r for r in records if r.timestamp is not None and lo <= r.timestamp <= hi]
+        ts = records["timestamp"]
+        records = records[(ts >= lo) & (ts <= hi)]  # NaN (no timestamp) compares false
     emp = dedupe_accesses(records)
     search_kwargs = {}
     if args.gamma_lo is not None or args.gamma_hi is not None:
@@ -320,7 +321,7 @@ def cmd_simulate(args) -> int:
     trials = args.trials if args.trials is not None else scn.get("trials", 100)
     policy = waterfill(dist, cfg.s, cfg.g_c)
     res = monte_carlo(cfg, dist, policy, trials, seed, workers=args.workers)
-    hit = hit_probability(dist, policy, cfg.s, cfg.g_c)
+    exact_outage = curve_points(cfg, dist, policy)[0].outage
     scn_hash = _scenario_hash(
         {"command": "simulate", **scn, "trials": trials, "seed": seed}
     )
@@ -337,13 +338,13 @@ def cmd_simulate(args) -> int:
             "outage_stderr": res.outage_stderr,
             "throughput_min_mean": res.throughput_min_mean,
             "throughput_min_stderr": res.throughput_min_stderr,
-            "exact_outage": 1.0 - hit,
+            "exact_outage": exact_outage,
             "_meta": _meta(scn_hash, seed),
         },
     )
     print(
         f"simulate: outage={res.outage_mean:.6g} (stderr {res.outage_stderr:.2g}, "
-        f"exact {1.0 - hit:.6g}) t_min={res.throughput_min_mean:.6g} "
+        f"exact {exact_outage:.6g}) t_min={res.throughput_min_mean:.6g} "
         f"[{trials} trials, seed {seed}]"
     )
     return 0

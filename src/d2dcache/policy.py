@@ -80,8 +80,9 @@ class CachingPolicy:
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        # inversion table of the placement draw, built once per policy
-        return _guide_table(self.probs)
+        # inversion table of the placement draw over the support, built once
+        # per policy; its top edge is exactly 1.0, so no draw lands past m_star
+        return _guide_table(self.probs[:self.m_star])
 
 
 def waterfill(dist: MZipfDist, s: int, g_c: int) -> CachingPolicy:

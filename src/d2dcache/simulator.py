@@ -19,9 +19,7 @@ Who holds what is counted in a table with one row per cluster and one
 column per rank up to the largest rank cached in the realization.  The
 placement draws from the support ``1..m_star`` of the water-filling
 policy, so the table has at most ``n_clusters * (m_star + 1)`` entries
-whatever the library size ``m``.  The one exception is a uniform in the
-rounding gap (of order 1e-16) between the support's cdf and 1.0, which
-lands on rank ``m``.
+whatever the library size ``m``.
 """
 
 from __future__ import annotations
@@ -243,6 +241,9 @@ def curve_points(config: NetworkConfig, dist, policy: CachingPolicy) -> list[Tra
     hit = hit_probability(dist, policy, config.s, g_c)
     # expected fraction of good clusters, treating users as independent
     p_good = 1.0 - (1.0 - hit) ** g_c
+    if config.include_self_cache:
+        # own slots serve too: s*g_c draws, the D2D exponent at cluster size g_c + 1
+        hit = hit_probability(dist, policy, config.s, g_c + 1)
     exact = TradeoffPoint(
         g_c=g_c,
         outage=1.0 - hit,

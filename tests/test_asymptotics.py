@@ -6,16 +6,11 @@ module.  The saturated-regime floor is asymptotic, so it is tested for
 convergence toward the exact optimum rather than a pointwise inequality.
 """
 
-import math
-
 import mpmath
-import numpy as np
 import pytest
 
 from d2dcache.asymptotics import (
-    Classification,
     RegimeParams,
-    TradeoffPoint,
     classify_regime,
     hit_rate_closed_form,
     hit_rate_floor,

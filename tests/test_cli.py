@@ -1,13 +1,21 @@
 """End-to-end CLI tests driven through main(argv)."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2dcache.cli import main
 from d2dcache.fitting import synthetic_records
 from d2dcache.policy import asymptotic_constants, hit_probability, waterfill
 from d2dcache.popularity import MZipfDist
+
+from oracles import hashmap_dedupe
 
 
 def scenario_file(path, **kw):
@@ -26,9 +34,28 @@ def read_table(path):
 def write_log(path, records):
     with open(path, "w") as fh:
         fh.write("user_id,content_id\n")
-        for r in records:
-            fh.write(f"{r.user_id},{r.content_id}\n")
+        for u, c in zip(records["user"].tolist(), records["content"].tolist()):
+            fh.write(f"u{u},f{c}\n")
     return str(path)
+
+
+def fit_counts(log, *args):
+    """Exit code, ranked counts and stdout of a cheap ``fit --export-empirical``."""
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()) as so, \
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = main(["fit", "--log", str(log), "--coarse-steps", "2", "--refine-rounds", "0",
+                   "--export-empirical", "--out", out, *args])
+        if rc != 0:
+            return rc, None, so.getvalue()
+        _, _, rows = read_table(Path(out) / "empirical.csv")
+    return rc, [int(r["count"]) for r in rows], so.getvalue()
+
+
+log_rows = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(0, 20),
+              st.sampled_from(["", " ", "\t "]), st.sampled_from(["", "  "])),
+    max_size=30,
+)
 
 
 FIG_SCENARIO = dict(n=10000, s=1, k=4, c_rate=1.0, gamma=0.6, q=20.0, m=1000)
@@ -116,6 +143,50 @@ class TestFit:
                    "--out", str(tmp_path / "o")])
         assert rc == 0
         assert "(2 unique accesses" in capsys.readouterr().out
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=log_rows, with_ts=st.booleans(),
+           since=st.none() | st.integers(0, 20), until=st.none() | st.integers(0, 20))
+    def test_window_and_dedupe_match_hashmap_oracle(self, rows, with_ts, since, until):
+        """Padded ids, repeats and an optional timestamp column, cut by a
+        since/until window: counts, total and users of the kept string pairs."""
+        header = "user_id,content_id,timestamp" if with_ts else "user_id,content_id"
+        lines = [f"{a}u{u}{b},{b}f{c}{a}" + (f",{b}{t}" if with_ts else "")
+                 for u, c, t, a, b in rows]
+        windowed = since is not None or until is not None
+        lo = -1 if since is None else since
+        hi = 99 if until is None else until
+        kept = [(f"u{u}", f"f{c}") for u, c, t, _, _ in rows
+                if not windowed or (with_ts and lo <= t <= hi)]
+        bounds = [*(["--since", str(since)] if since is not None else []),
+                  *(["--until", str(until)] if until is not None else [])]
+        with tempfile.TemporaryDirectory() as d:
+            log = Path(d) / "log.csv"
+            log.write_text("\n".join([header, *lines]) + "\n")
+            rc, counts, out = fit_counts(log, *bounds)
+        if not kept:
+            assert rc == 2
+            return
+        want_counts, want_users = hashmap_dedupe(kept)
+        assert rc == 0 and counts == want_counts
+        assert f"({sum(want_counts)} unique accesses, {want_users} users," in out
+
+    def test_window_recodes_ids_first_seen_inside_it(self, tmp_path):
+        # b and c are first seen before --since and u0 only there; a dedupe
+        # that kept the log-wide codes would count c and u0 with zero requests
+        log = tmp_path / "log.csv"
+        log.write_text(
+            "user_id,content_id,timestamp\n"
+            "u0,b,1\n"
+            "u0,c,2\n"
+            "u1,a,10\n"
+            "u2,b,11\n"
+            "u2,a,12\n"
+            "u1,b,13\n"
+        )
+        rc, counts, out = fit_counts(log, "--since", "5")
+        assert rc == 0 and counts == [2, 2]
+        assert "(4 unique accesses, 2 users," in out
 
     def test_bad_time_bound(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
@@ -271,6 +342,25 @@ class TestSweepCmd:
             assert main(["sweep", "--scenario", scn, "--out", str(tmp_path / d)]) == 0
         assert (tmp_path / "a" / "tradeoff.csv").read_bytes() == \
             (tmp_path / "b" / "tradeoff.csv").read_bytes()
+
+    def test_self_cache_exact_outage_counts_own_slots(self, tmp_path):
+        """With self_cache a request is served from any of the cluster's s*g_c
+        slots, and the exact outage must count them all: every simulated row
+        sits within 5 stderr of it (g_c = 4 was 38 stderr off with s*(g_c-1))."""
+        scn = scenario_file(tmp_path / "s.json", **FIG_SCENARIO, self_cache=True,
+                            cluster_counts=[2500, 400, 100, 16], n_clusters=2500, trials=200)
+        assert main(["sweep", "--scenario", scn, "--seed", "7", "--out", str(tmp_path / "o")]) == 0
+        _, _, rows = read_table(tmp_path / "o" / "tradeoff.csv")
+        exact = {r["g_c"]: float(r["outage"]) for r in rows if r["source"] == "exact_sum"}
+        sims = [r for r in rows if r["source"] == "simulated"]
+        assert len(sims) == 4
+        for r in sims:
+            z = (float(r["outage"]) - exact[r["g_c"]]) / float(r["outage_stderr"])
+            assert abs(z) < 5, (r["g_c"], z)
+        assert main(["simulate", "--scenario", scn, "--seed", "7", "--out", str(tmp_path / "s")]) == 0
+        got = json.loads((tmp_path / "s" / "sim_result.json").read_text())
+        assert got["exact_outage"] == exact["4"]
+        assert abs(got["outage_mean"] - got["exact_outage"]) < 5 * got["outage_stderr"]
 
     def test_infeasible_counts_warned(self, tmp_path, capsys):
         scn = scenario_file(tmp_path / "s.json", n=2500, gamma=0.7, q=10.0, m=400,

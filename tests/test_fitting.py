@@ -9,7 +9,7 @@ import pytest
 from d2dcache import fitting
 from d2dcache.errors import DomainError
 from d2dcache.fitting import (
-    AccessRecord,
+    LOG_DTYPE,
     EmpiricalPopularity,
     FitSearch,
     dedupe_accesses,
@@ -25,27 +25,33 @@ from d2dcache.popularity import MZipfDist
 from oracles import hashmap_dedupe, streamed_partial_sum
 
 
-def rec(u, c, ts=None):
-    return AccessRecord(u, c, ts)
+def rec(*rows):
+    """A log array from (user, content[, timestamp]) rows, ids coded by first appearance."""
+    users: dict = {}
+    contents: dict = {}
+    return np.array(
+        [(users.setdefault(u, len(users)), contents.setdefault(c, len(contents)),
+          ts[0] if ts else math.nan) for u, c, *ts in rows],
+        dtype=LOG_DTYPE,
+    )
 
 
 class TestDedupe:
     def test_worked_example(self):
-        records = [rec("u1", "c1"), rec("u1", "c1"), rec("u2", "c1"), rec("u1", "c2")]
+        records = rec(("u1", "c1"), ("u1", "c1"), ("u2", "c1"), ("u1", "c2"))
         emp = dedupe_accesses(records)
         assert emp.counts.tolist() == [2, 1]
         assert emp.total == 3
         assert emp.distinct_users == 2
 
     def test_empty(self):
-        emp = dedupe_accesses([])
+        emp = dedupe_accesses(rec())
         assert emp.total == 0 and emp.distinct_users == 0
         with pytest.raises(DomainError, match="no unique accesses"):
             fit_mzipf(emp)
 
     def test_tie_order_is_first_seen(self):
-        records = [rec("u1", "b"), rec("u1", "a"), rec("u2", "a"), rec("u2", "b"),
-                   rec("u3", "c")]
+        records = rec(("u1", "b"), ("u1", "a"), ("u2", "a"), ("u2", "b"), ("u3", "c"))
         emp = dedupe_accesses(records)
         # b and a both have 2 distinct users; b appeared first
         assert emp.counts.tolist() == [2, 2, 1]
@@ -56,14 +62,14 @@ class TestDedupe:
         contents = [f"c{i}" for i in rng.integers(0, 300, size=100_000)]
         pairs = list(zip(users, contents))
         pairs.extend(pairs[: 20_000])  # inject plenty of exact duplicates
-        emp = dedupe_accesses([rec(u, c) for u, c in pairs])
+        emp = dedupe_accesses(rec(*pairs))
         want_counts, want_users = hashmap_dedupe(pairs)
         assert emp.counts.tolist() == want_counts
         assert emp.distinct_users == want_users
         assert emp.total == sum(want_counts)
 
     def test_unique_pairs_reduce_to_plain_counting(self):
-        records = [rec(f"u{i}", f"c{i % 3}") for i in range(9)]
+        records = rec(*[(f"u{i}", f"c{i % 3}") for i in range(9)])
         emp = dedupe_accesses(records)
         assert emp.counts.tolist() == [3, 3, 3]
         assert emp.total == 9
@@ -211,8 +217,26 @@ class TestSubsample:
         sub = subsample_study(records, [400], np.random.default_rng(77))[0]
         assert sub == full
 
+    def test_matches_first_seen_reference(self):
+        # users are drawn by their index in order of first appearance, as a
+        # list of user ids would be, whatever their codes
+        d = MZipfDist(1.2, 6.0, 300)
+        records = synthetic_records(d, 200, 5, np.random.default_rng(4))
+        records["user"] = records["user"] * 7919 % 1009  # distinct, not in first-seen order
+        rows = list(zip(records["user"].tolist(), records["content"].tolist()))
+        search = FitSearch(coarse_steps=10, refine_rounds=1)
+        n_values = [20, 150]
+        got = subsample_study(records, n_values, np.random.default_rng(9), search=search)
+        rng = np.random.default_rng(9)
+        users = list(dict.fromkeys(u for u, _ in rows))
+        for n, fr in zip(n_values, got):
+            keep = {users[i] for i in rng.choice(len(users), size=n, replace=False).tolist()}
+            counts, n_users = hashmap_dedupe([(u, c) for u, c in rows if u in keep])
+            want = EmpiricalPopularity(np.array(counts), sum(counts), n_users)
+            assert fr == fit_mzipf(want, search=search)
+
     def test_rejects_oversized_n(self):
-        records = [rec(f"u{i}", "c") for i in range(5)]
+        records = rec(*[(f"u{i}", "c") for i in range(5)])
         with pytest.raises(DomainError, match=r"\[9\]"):
             subsample_study(records, [3, 9], np.random.default_rng(0))
 
@@ -242,9 +266,11 @@ class TestIO:
             "u5,c3,2024-06-01T12:00:00\n"
         )
         records, bad = load_access_log(path)
-        assert [r.user_id for r in records] == ["u1", "u5"]
-        assert records[0].timestamp == 100.5
-        assert records[1].timestamp is not None
+        assert records.dtype == LOG_DTYPE
+        # u1 and u5 are the only kept rows, so they take codes 0 and 1
+        assert records["user"].tolist() == [0, 1]
+        assert records["timestamp"][0] == 100.5
+        assert not np.isnan(records["timestamp"][1])
         assert [b[0] for b in bad] == [3, 4, 5]
         assert "2 fields" in bad[0][1] or "expected 3" in bad[0][1]
 
@@ -253,7 +279,8 @@ class TestIO:
         path.write_text("user_id,content_id\nu1,c1\nu1,c2\n")
         records, bad = load_access_log(path)
         assert len(records) == 2 and not bad
-        assert records[0].timestamp is None
+        assert records["content"].tolist() == [0, 1]
+        assert np.isnan(records["timestamp"]).all()
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -265,7 +292,7 @@ class TestIO:
             load_access_log(tmp_path / "empty.csv")
 
     def test_empirical_csv_roundtrip(self):
-        emp = dedupe_accesses([rec("u1", "a"), rec("u2", "a"), rec("u1", "b")])
+        emp = dedupe_accesses(rec(("u1", "a"), ("u2", "a"), ("u1", "b")))
         buf = io.StringIO()
         write_empirical_csv(emp, buf)
         lines = buf.getvalue().strip().splitlines()
@@ -280,6 +307,7 @@ class TestSyntheticRecords:
         d = MZipfDist(1.0, 3.0, 100)
         a = synthetic_records(d, 20, 4, np.random.default_rng(5))
         b = synthetic_records(d, 20, 4, np.random.default_rng(5))
-        assert len(a) == 80
-        assert a == b
-        assert len({r.user_id for r in a}) == 20
+        assert len(a) == 80 and a.dtype == LOG_DTYPE
+        assert all(np.array_equal(a[f], b[f], equal_nan=True) for f in LOG_DTYPE.names)
+        assert np.isnan(a["timestamp"]).all()
+        assert len(np.unique(a["user"])) == 20

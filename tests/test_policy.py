@@ -10,8 +10,9 @@ from d2dcache.policy import (
     solve_cutoff_constant,
     waterfill,
 )
+from d2dcache.popularity import _invert
 
-from oracles import hit_prob_of_placement, pga_optimal_placement
+from oracles import pga_optimal_placement
 
 
 def test_waterfill_hand_example():
@@ -48,6 +49,19 @@ def test_small_cluster_rejected():
     pol = waterfill(d, s=2, g_c=2)  # s*(g_c-1) = 2 is the smallest legal
     with pytest.raises(DomainError, match="cluster too small"):
         hit_probability(d, pol, s=1, g_c=2)
+
+
+@pytest.mark.parametrize("g_c", [4, 16, 25, 100, 400])
+def test_placement_table_ends_at_support(g_c):
+    # the support's cdf ends 4.4e-16 short of 1 at g_c = 4 and overshoots 1 by
+    # up to 6e-13 at the larger sizes; the table must still end exactly at 1.0
+    d = MZipfDist(gamma=0.6, q=20.0, m=1000)
+    pol = waterfill(d, s=1, g_c=g_c)
+    assert pol.m_star < d.m
+    edges = pol._table[0]
+    assert edges[-1] == 1.0 and np.all(np.diff(edges) >= 0)
+    top = _invert(pol._table, np.array([np.nextafter(1.0, 0.0)]))
+    assert top[0] <= pol.m_star
 
 
 @pytest.mark.parametrize("s, g_c, reason", [
