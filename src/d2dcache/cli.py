@@ -32,9 +32,9 @@ from .fitting import (
     load_access_log,
     write_empirical_csv,
 )
-from .policy import asymptotic_constants, hit_probability, waterfill
+from .policy import asymptotic_constants, waterfill
 from .popularity import MZipfDist
-from .simulator import NetworkConfig, curve_points, monte_carlo, sweep
+from .simulator import NetworkConfig, _served_probability, curve_points, monte_carlo, sweep
 
 SCENARIO_KEYS = {
     "n", "s", "k", "c_rate", "gamma", "q", "m", "fit_result",
@@ -42,6 +42,7 @@ SCENARIO_KEYS = {
 }
 _INT_KEYS = ("n", "m", "n_clusters", "s", "k", "trials", "seed")
 _NUM_KEYS = ("gamma", "q", "c_rate")
+_TAIL_CHUNK = 1 << 16  # ranks per write of policy.csv's zero tail: no m-sized string
 
 
 def _is_int(v) -> bool:
@@ -259,7 +260,7 @@ def cmd_policy(args) -> int:
     dist = _dist(scn)
     cfg = _network(scn, int(scn["n_clusters"]))
     policy = waterfill(dist, cfg.s, cfg.g_c)
-    hit = hit_probability(dist, policy, cfg.s, cfg.g_c)
+    hit = _served_probability(cfg, dist, policy)
     con = asymptotic_constants(dist, cfg.s, cfg.g_c)
     scn_hash = _scenario_hash({"command": "policy", **scn})
     out = _out_dir(args)
@@ -267,8 +268,11 @@ def cmd_policy(args) -> int:
         fh.write(_header_line(scn_hash, None) + "\n")
         w = csv.writer(fh)
         w.writerow(["rank", "p_c"])
-        for rank, p in enumerate(policy.probs, start=1):
-            w.writerow([rank, repr(float(p))])
+        k, m = policy.m_star, dist.m
+        w.writerows(zip(range(1, k + 1), map(repr, policy.probs[:k].tolist())))
+        for lo in range(k + 1, m + 1, _TAIL_CHUNK):  # the zero tail, as csv.writer writes it
+            ranks = map(str, range(lo, min(lo + _TAIL_CHUNK, m + 1)))
+            fh.write(",0.0\r\n".join(ranks) + ",0.0\r\n")
     _write_json(
         out / "policy_constants.json",
         {

@@ -35,6 +35,8 @@ __all__ = [
     "asymptotic_constants",
 ]
 
+_FIRST_PREFIX = 1024  # pmf prefix the water-level scan of ``waterfill`` starts from
+
 
 def _exponent_denom(s: int, g_c: int) -> int:
     """Tilt exponent ``s*(g_c-1) - 1`` of a cluster geometry, checked to be >= 1.
@@ -91,20 +93,21 @@ def waterfill(dist: MZipfDist, s: int, g_c: int) -> CachingPolicy:
     Scans the water level incrementally: with ``nu_m = (m-1) / sum_{f<=m}
     1/z_f``, the support grows while ``z_{m+1} > nu_m`` and stops at the
     unique cutoff where ``z_{m_star} >= nu`` and the next tilted popularity
-    falls below the level.  O(m) after the pmf.
+    falls below the level.  O(m_star): the scan's prefix of the pmf doubles,
+    capped at m, until it holds the cutoff; the running sum is sequential,
+    so the result does not depend on the prefix length.
     """
     phi = _exponent_denom(s, g_c)
-    z = dist.probs ** (1.0 / phi)
-    inv_csum = np.cumsum(1.0 / z)
     m = dist.m
-    if m == 1:
-        probs = np.ones(1)
-        probs.flags.writeable = False
-        return CachingPolicy(probs=probs, nu=0.0, m_star=1, exponent_denom=phi)
-    idx = np.arange(1, m + 1, dtype=np.float64)
-    nu_at = (idx - 1.0) / inv_csum
-    # first m with z[m+1] <= nu_m ends the support; otherwise all of 1..m
-    below = np.nonzero(z[1:] <= nu_at[:-1])[0]
+    k = min(_FIRST_PREFIX, m)
+    while True:
+        z = dist.probs[:k] ** (1.0 / phi)
+        nu_at = np.arange(k, dtype=np.float64) / np.cumsum(1.0 / z)
+        # first m with z[m+1] <= nu_m ends the support; otherwise all of 1..m
+        below = np.nonzero(z[1:] <= nu_at[:-1])[0]
+        if below.size or k == m:
+            break
+        k = min(2 * k, m)
     m_star = int(below[0]) + 1 if below.size else m
     nu = float(nu_at[m_star - 1])
     probs = np.zeros(m)
@@ -117,15 +120,16 @@ def hit_probability(dist: MZipfDist, policy: CachingPolicy, s: int, g_c: int) ->
     """Probability that a random request is served inside the cluster.
 
     Averages ``1 - (1 - p_c(f))**(s*(g_c-1))`` over the request pmf; the
-    requesting device's own cache is not counted.
+    requesting device's own cache is not counted.  Terms past ``m_star`` are
+    exactly 0: a correctly rounded ``math.fsum`` over the support.
     """
     phi = _exponent_denom(s, g_c)
     if len(policy.probs) != dist.m:
         raise DomainError(
             f"policy covers {len(policy.probs)} files, popularity has {dist.m}"
         )
-    exponent = phi + 1
-    return float(np.sum(dist.probs * (1.0 - (1.0 - policy.probs) ** exponent)))
+    k = policy.m_star
+    return math.fsum((dist.probs[:k] * (1.0 - (1.0 - policy.probs[:k]) ** (phi + 1))).tolist())
 
 
 def solve_cutoff_constant(c2: float) -> float:

@@ -235,18 +235,21 @@ def monte_carlo(config: NetworkConfig, dist, policy: CachingPolicy, trials: int,
     )
 
 
+def _served_probability(config: NetworkConfig, dist, policy: CachingPolicy) -> float:
+    """1 - exact outage.  With self_cache all s*g_c slots serve: the D2D exponent at g_c + 1."""
+    return hit_probability(dist, policy, config.s, config.g_c + config.include_self_cache)
+
+
 def curve_points(config: NetworkConfig, dist, policy: CachingPolicy) -> list[TradeoffPoint]:
     """The exact-sum point of ``policy`` and the closed-form points at ``config``'s geometry."""
     g_c = config.g_c
     hit = hit_probability(dist, policy, config.s, g_c)
     # expected fraction of good clusters, treating users as independent
     p_good = 1.0 - (1.0 - hit) ** g_c
-    if config.include_self_cache:
-        # own slots serve too: s*g_c draws, the D2D exponent at cluster size g_c + 1
-        hit = hit_probability(dist, policy, config.s, g_c + 1)
+    served = _served_probability(config, dist, policy) if config.include_self_cache else hit
     exact = TradeoffPoint(
         g_c=g_c,
-        outage=1.0 - hit,
+        outage=1.0 - served,
         throughput=(config.c_rate / config.k) * p_good / g_c,
         source="exact_sum",
     )

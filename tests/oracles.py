@@ -9,11 +9,14 @@ water-filling solution.  Tests compare the package against these.
 from __future__ import annotations
 
 import bisect
+import csv
+import io
 import math
 
 import numpy as np
 
 from d2dcache.errors import DomainError
+from d2dcache.policy import CachingPolicy, _exponent_denom
 from d2dcache.simulator import Realization
 
 # chunk length of the first, streamed partial sum
@@ -164,6 +167,56 @@ def project_simplex(v):
     rho = idx[cond][-1]
     theta = css[rho - 1] / rho
     return np.maximum(v - theta, 0.0)
+
+
+def dense_waterfill(dist, s, g_c):
+    """The first ``waterfill``, kept verbatim: the level scan over all m ranks.
+
+    ``policy.waterfill`` scans a doubling prefix instead and must return a
+    bit-equal policy.
+    """
+    phi = _exponent_denom(s, g_c)
+    z = dist.probs ** (1.0 / phi)
+    inv_csum = np.cumsum(1.0 / z)
+    m = dist.m
+    if m == 1:
+        probs = np.ones(1)
+        probs.flags.writeable = False
+        return CachingPolicy(probs=probs, nu=0.0, m_star=1, exponent_denom=phi)
+    idx = np.arange(1, m + 1, dtype=np.float64)
+    nu_at = (idx - 1.0) / inv_csum
+    # first m with z[m+1] <= nu_m ends the support; otherwise all of 1..m
+    below = np.nonzero(z[1:] <= nu_at[:-1])[0]
+    m_star = int(below[0]) + 1 if below.size else m
+    nu = float(nu_at[m_star - 1])
+    probs = np.zeros(m)
+    probs[:m_star] = 1.0 - nu / z[:m_star]
+    probs.flags.writeable = False
+    return CachingPolicy(probs=probs, nu=nu, m_star=m_star, exponent_denom=phi)
+
+
+def mpmath_hit_probability(pop, placement, exponent, dps=50):
+    """``sum_f pop[f] * (1 - (1 - placement[f])^exponent)`` over every rank,
+    each term and the sum in arbitrary precision, returned as a float."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        one = mpmath.mpf(1)
+        return float(mpmath.fsum(
+            mpmath.mpf(p) * (one - (one - mpmath.mpf(x)) ** exponent)
+            for p, x in zip(np.asarray(pop).tolist(), np.asarray(placement).tolist())
+        ))
+
+
+def rowwise_policy_csv(probs):
+    """``policy.csv``'s table as the first writer made it: one ``csv.writer``
+    row per rank, every probability through ``repr(float(p))``."""
+    fh = io.StringIO(newline="")
+    w = csv.writer(fh)
+    w.writerow(["rank", "p_c"])
+    for rank, p in enumerate(probs, start=1):
+        w.writerow([rank, repr(float(p))])
+    return fh.getvalue()
 
 
 def hit_prob_of_placement(pop, placement, exponent):

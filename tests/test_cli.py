@@ -7,15 +7,17 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from d2dcache import cli
 from d2dcache.cli import main
 from d2dcache.fitting import synthetic_records
 from d2dcache.policy import asymptotic_constants, hit_probability, waterfill
 from d2dcache.popularity import MZipfDist
 
-from oracles import hashmap_dedupe
+from oracles import hashmap_dedupe, rowwise_policy_csv
 
 
 def scenario_file(path, **kw):
@@ -228,6 +230,50 @@ class TestPolicyCmd:
         rc = main(["policy", "--scenario", scn, "--out", str(tmp_path)])
         assert rc == 2
         assert "n_clusters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("self_cache", [False, True])
+    def test_outage_equals_analyze_exact_sum(self, tmp_path, self_cache):
+        """policy_constants.json's outage is the exact_sum row of analyze at
+        the same geometry; with self_cache both count the own slots."""
+        scn = scenario_file(tmp_path / "s.json", **FIG_SCENARIO, self_cache=self_cache,
+                            n_clusters=2500, cluster_counts=[2500])
+        out = str(tmp_path / "o")
+        assert main(["policy", "--scenario", scn, "--out", out]) == 0
+        assert main(["analyze", "--scenario", scn, "--out", out]) == 0
+        con = json.loads((tmp_path / "o" / "policy_constants.json").read_text())
+        _, _, rows = read_table(tmp_path / "o" / "theory_curves.csv")
+        exact = [float(r["outage"]) for r in rows if r["source"] == "exact_sum"]
+        assert con["g_c"] == 4 and exact == [con["outage"]]
+        assert con["outage"] == 1.0 - con["hit_probability"]
+
+
+class TestPolicyCsvWriter:
+    """policy.csv's table, written as support rows plus a chunked zero tail,
+    is byte for byte what one csv.writer row per rank writes."""
+
+    def table(self, tmp_path, m, n_clusters):
+        scn = scenario_file(tmp_path / "s.json", **dict(FIG_SCENARIO, m=m), n_clusters=n_clusters)
+        assert main(["policy", "--scenario", scn, "--out", str(tmp_path / "o")]) == 0
+        text = (tmp_path / "o" / "policy.csv").read_bytes().decode()
+        pol = waterfill(MZipfDist(0.6, 20.0, m), 1, 10_000 // n_clusters)
+        assert text.split("\n", 1)[1] == rowwise_policy_csv(pol.probs)
+        return m - pol.m_star
+
+    @pytest.mark.parametrize("m, n_clusters", [(1, 100), (50, 1)])
+    def test_no_tail(self, tmp_path, m, n_clusters):
+        assert self.table(tmp_path, m, n_clusters) == 0
+
+    # at g_c = 100 the support is ranks 1..214 for every m >= 214: the level
+    # scan does not see the pmf's normalization
+    @pytest.mark.parametrize("tail", [1, 7, 8, 9, 15, 16, 17])
+    def test_tails_around_small_chunks(self, tmp_path, monkeypatch, tail):
+        monkeypatch.setattr(cli, "_TAIL_CHUNK", 8)
+        assert self.table(tmp_path, 214 + tail, 100) == tail
+
+    @pytest.mark.parametrize("off", [-1, 0, 1])
+    def test_tail_at_chunk_boundary(self, tmp_path, off):
+        tail = cli._TAIL_CHUNK + off
+        assert self.table(tmp_path, 214 + tail, 100) == tail
 
 
 class TestAnalyzeCmd:

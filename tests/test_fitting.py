@@ -50,10 +50,11 @@ class TestDedupe:
         with pytest.raises(DomainError, match="no unique accesses"):
             fit_mzipf(emp)
 
-    def test_tie_order_is_first_seen(self):
+    def test_tied_contents_keep_equal_counts_in_descending_order(self):
         records = rec(("u1", "b"), ("u1", "a"), ("u2", "a"), ("u2", "b"), ("u3", "c"))
         emp = dedupe_accesses(records)
-        # b and a both have 2 distinct users; b appeared first
+        # b and a both have 2 distinct users; counts alone cannot show which
+        # of the two ranks first
         assert emp.counts.tolist() == [2, 2, 1]
 
     def test_matches_hashmap_oracle(self):

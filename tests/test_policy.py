@@ -5,6 +5,7 @@ import pytest
 
 from d2dcache import ConfigError, DomainError, MZipfDist, NetworkConfig, RegimeParams
 from d2dcache.policy import (
+    _FIRST_PREFIX,
     asymptotic_constants,
     hit_probability,
     solve_cutoff_constant,
@@ -12,7 +13,9 @@ from d2dcache.policy import (
 )
 from d2dcache.popularity import _invert
 
-from oracles import pga_optimal_placement
+from oracles import dense_waterfill, mpmath_hit_probability, pga_optimal_placement
+
+P = _FIRST_PREFIX
 
 
 def test_waterfill_hand_example():
@@ -62,6 +65,62 @@ def test_placement_table_ends_at_support(g_c):
     assert edges[-1] == 1.0 and np.all(np.diff(edges) >= 0)
     top = _invert(pol._table, np.array([np.nextafter(1.0, 0.0)]))
     assert top[0] <= pol.m_star
+
+
+def assert_bit_equal(got, want):
+    assert got.m_star == want.m_star
+    assert got.exponent_denom == want.exponent_denom
+    assert np.float64(got.nu).tobytes() == np.float64(want.nu).tobytes()
+    assert got.probs.tobytes() == want.probs.tobytes()
+    assert not got.probs.flags.writeable
+
+
+@pytest.mark.parametrize("m", [1, 2, P - 1, P, P + 1, 2 * P + 1, 100_000])
+@pytest.mark.parametrize("gamma, q", [(0.6, 20.0), (1.2, 5.0), (0.3, 0.0)])
+def test_waterfill_bit_equal_to_dense_scan(gamma, q, m):
+    d = MZipfDist(gamma, q, m)
+    for s, g_c in [(1, 3), (1, 16), (2, 100), (1, 2500), (1, 10**6)]:
+        assert_bit_equal(waterfill(d, s, g_c), dense_waterfill(d, s, g_c))
+
+
+@pytest.mark.parametrize("g_c, m_star", [(567, P - 1), (568, P + 1), (1173, 2 * P - 1),
+                                         (1174, 2 * P + 1)])
+def test_waterfill_cutoff_next_to_prefix_end(g_c, m_star):
+    # cutoffs one rank before and one after the ends of the first two prefixes;
+    # the one after needs the next, doubled prefix to see it
+    d = MZipfDist(0.6, 20.0, 100_000)
+    pol = waterfill(d, 1, g_c)
+    assert pol.m_star == m_star
+    assert_bit_equal(pol, dense_waterfill(d, 1, g_c))
+
+
+@pytest.mark.parametrize("m", [P - 1, P, P + 1, 2 * P + 1, 100_000])
+@pytest.mark.parametrize("g_c", [10**5, 10**7])
+def test_waterfill_without_cutoff_covers_library(m, g_c):
+    # nearly flat tilted popularity: the level never drops below the next
+    # rank, so every doubling runs until the prefix is the whole library
+    d = MZipfDist(0.3, 0.0, m)
+    pol = waterfill(d, 1, g_c)
+    assert pol.m_star == m
+    assert_bit_equal(pol, dense_waterfill(d, 1, g_c))
+
+
+@pytest.mark.parametrize("gamma, q, m, s, g_c", [
+    (0.6, 20.0, 1000, 1, 4),
+    (0.6, 20.0, 1000, 1, 100),
+    (0.6, 20.0, 1000, 1, 2500),
+    (1.2, 5.0, 2000, 2, 400),
+    (0.3, 0.0, 1000, 1, 16),
+    (1.0, 0.0, 3, 1, 3),
+])
+def test_hit_probability_matches_mpmath_sum(gamma, q, m, s, g_c):
+    # the mpmath sum runs over every rank, the zero tail past m_star included;
+    # g_c + 1 is the self-cache evaluation of the same placement
+    d = MZipfDist(gamma, q, m)
+    pol = waterfill(d, s, g_c)
+    for size in (g_c, g_c + 1):
+        want = mpmath_hit_probability(d.probs, pol.probs, s * (size - 1))
+        assert hit_probability(d, pol, s, size) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("s, g_c, reason", [
