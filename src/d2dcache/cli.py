@@ -22,6 +22,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import ConfigError, DomainError, InvariantError
 from .fitting import (
@@ -43,6 +45,7 @@ SCENARIO_KEYS = {
 _INT_KEYS = ("n", "m", "n_clusters", "s", "k", "trials", "seed")
 _NUM_KEYS = ("gamma", "q", "c_rate")
 _TAIL_CHUNK = 1 << 16  # ranks per write of policy.csv's zero tail: no m-sized string
+_ZERO_ROW_END = np.frombuffer(b",0.0\r\n", dtype=np.uint8)  # csv.writer's ``rank,0.0`` row
 
 
 def _is_int(v) -> bool:
@@ -161,6 +164,11 @@ def _meta(scn_hash: str, seed) -> dict:
     return {"tool": f"d2dcache {__version__}", "scenario": scn_hash, "seed": seed}
 
 
+def _outage_z(mean: float, exact: float, stderr: float):
+    """Standard errors from the exact outage to a simulated one; None when stderr is 0."""
+    return (mean - exact) / stderr if stderr else None
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -205,12 +213,18 @@ def cmd_fit(args) -> int:
         search_kwargs["refine_rounds"] = args.refine_rounds
     search = FitSearch(**search_kwargs) if search_kwargs else None
     result = fit_mzipf(emp, m=args.m, search=search)
+    warnings = []
     if len(emp.counts) == 1:
-        print(
-            "warning: single content observed; any (gamma, q) fits such data, "
-            "reporting the smallest grid point",
-            file=sys.stderr,
-        )
+        warnings.append("single content observed; any (gamma, q) fits such data, "
+                        "reporting the smallest grid point")
+    box = search or FitSearch()
+    q_hi = box.q_range[1] if box.q_range is not None else float(result.m)
+    for name, value, hi in (("gamma", result.gamma, box.gamma_range[1]), ("q", result.q, q_hi)):
+        if value >= hi:
+            warnings.append(f"optimum {name} = {value!r} sits on the upper edge of the "
+                            f"search box; the best fit may lie beyond it")
+    for text in warnings:
+        print(f"warning: {text}", file=sys.stderr)
     payload = {
         "command": "fit",
         "log": Path(args.log).name,
@@ -230,6 +244,7 @@ def cmd_fit(args) -> int:
             "m": result.m,
             "kl": result.kl,
             "evaluations": result.evaluations,
+            "warnings": warnings,
             "_meta": _meta(scn_hash, None),
         },
     )
@@ -254,6 +269,33 @@ def _parse_bound(text):
         raise DomainError(f"cannot parse time bound {text!r} (use seconds or ISO-8601)")
 
 
+def _write_zero_rows(fh, lo: int, hi: int):
+    """Rows ``rank,0.0`` for ranks ``lo..hi-1``, byte-identical to one
+    ``csv.writer`` row per rank.
+
+    The rows are rendered as ASCII by numpy, one write per block of at most
+    ``_TAIL_CHUNK`` ranks that share a digit count.  The digits are filled
+    right to left by repeated division by 10, each into a contiguous row of
+    ``cols`` (``//`` and a multiply-subtract: numpy's ``divmod`` and strided
+    column stores were each about twice as slow).
+    """
+    while lo < hi:
+        digits = len(str(lo))
+        top = min(hi, 10 ** digits, lo + _TAIL_CHUNK)
+        ranks = np.arange(lo, top)
+        cols = np.empty((digits, top - lo), dtype=np.uint8)
+        for col in range(digits - 1, -1, -1):
+            quot = ranks // 10
+            cols[col] = ranks - 10 * quot
+            ranks = quot
+        cols += ord("0")
+        rows = np.empty((top - lo, digits + len(_ZERO_ROW_END)), dtype=np.uint8)
+        rows[:, :digits] = cols.T
+        rows[:, digits:] = _ZERO_ROW_END
+        fh.write(rows.tobytes().decode("ascii"))
+        lo = top
+
+
 def cmd_policy(args) -> int:
     scn = load_scenario(args.scenario)
     _require(scn, ("n", "n_clusters"), "policy")
@@ -268,11 +310,8 @@ def cmd_policy(args) -> int:
         fh.write(_header_line(scn_hash, None) + "\n")
         w = csv.writer(fh)
         w.writerow(["rank", "p_c"])
-        k, m = policy.m_star, dist.m
-        w.writerows(zip(range(1, k + 1), map(repr, policy.probs[:k].tolist())))
-        for lo in range(k + 1, m + 1, _TAIL_CHUNK):  # the zero tail, as csv.writer writes it
-            ranks = map(str, range(lo, min(lo + _TAIL_CHUNK, m + 1)))
-            fh.write(",0.0\r\n".join(ranks) + ",0.0\r\n")
+        w.writerows(zip(range(1, policy.m_star + 1), map(repr, policy.probs.tolist())))
+        _write_zero_rows(fh, policy.m_star + 1, policy.m + 1)
     _write_json(
         out / "policy_constants.json",
         {
@@ -343,6 +382,7 @@ def cmd_simulate(args) -> int:
             "throughput_min_mean": res.throughput_min_mean,
             "throughput_min_stderr": res.throughput_min_stderr,
             "exact_outage": exact_outage,
+            "outage_z": _outage_z(res.outage_mean, exact_outage, res.outage_stderr),
             "_meta": _meta(scn_hash, seed),
         },
     )
@@ -367,14 +407,17 @@ def cmd_sweep(args) -> int:
     )
     out = _out_dir(args)
     n = int(scn["n"])
+    exact = {p.g_c: p.outage for p in points if p.source == "exact_sum"}
     with open(out / "tradeoff.csv", "w", newline="") as fh:
         fh.write(_header_line(scn_hash, seed) + "\n")
         w = csv.writer(fh)
         w.writerow(
             ["n_clusters", "g_c", "outage", "outage_stderr",
-             "throughput", "throughput_stderr", "source"]
+             "throughput", "throughput_stderr", "source", "outage_z"]
         )
         for p in points:
+            simulated = p.source == "simulated"
+            z = _outage_z(p.outage, exact[p.g_c], p.outage_stderr) if simulated else None
             w.writerow(
                 [
                     n // p.g_c,
@@ -384,6 +427,7 @@ def cmd_sweep(args) -> int:
                     repr(p.throughput),
                     "" if p.throughput_stderr is None else repr(p.throughput_stderr),
                     p.source,
+                    "" if z is None else repr(z),
                 ]
             )
     skipped = len(scn["cluster_counts"]) - len(configs)

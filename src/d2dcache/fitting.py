@@ -193,7 +193,7 @@ def fit_mzipf(emp: EmpiricalPopularity, m: int | None = None,
         w_g /= s.shrink
         w_q /= s.shrink
 
-    kl_final = kl_divergence(p, MZipfDist(best[1], best[2], m).probs[:r_obs])
+    kl_final = kl_divergence(p, MZipfDist(best[1], best[2], m).head(r_obs))
     return FitResult(gamma=best[1], q=best[2], m=m, kl=kl_final, evaluations=evals)
 
 

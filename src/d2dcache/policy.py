@@ -60,31 +60,41 @@ def _exponent_denom(s: int, g_c: int) -> int:
 
 @dataclass(frozen=True)
 class CachingPolicy:
-    """Water-filling placement over ranks ``1..len(probs)``.
+    """Water-filling placement over ranks ``1..m``, stored as its support.
 
     Attributes
     ----------
     probs : numpy.ndarray
-        Placement distribution; ``probs[f-1]`` is the probability that a
-        single cache slot draws file ``f``.
+        Placement mass of the support ``1..m_star``; ``probs[f-1]`` is the
+        probability that a single cache slot draws file ``f``.  Every rank
+        past ``m_star`` has mass 0.
     nu : float
         Water level of the KKT solution.
-    m_star : int
-        Number of files with positive placement mass (support prefix).
+    m : int
+        Library size the policy was built for.
     exponent_denom : int
         Tilt exponent ``s*(g_c-1) - 1`` the policy was built for.
     """
 
     probs: np.ndarray
     nu: float
-    m_star: int
+    m: int
     exponent_denom: int
+
+    def __post_init__(self):
+        if not 1 <= len(self.probs) <= self.m:
+            raise DomainError(f"support of {len(self.probs)} ranks outside 1..m = 1..{self.m}")
+
+    @property
+    def m_star(self) -> int:
+        """Number of files with positive placement mass (support prefix)."""
+        return len(self.probs)
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        # inversion table of the placement draw over the support, built once
-        # per policy; its top edge is exactly 1.0, so no draw lands past m_star
-        return _guide_table(self.probs[:self.m_star])
+        # inversion table of the placement draw, built once per policy; its
+        # top edge is exactly 1.0, so no draw lands past m_star
+        return _guide_table(self.probs)
 
 
 def waterfill(dist: MZipfDist, s: int, g_c: int) -> CachingPolicy:
@@ -101,7 +111,7 @@ def waterfill(dist: MZipfDist, s: int, g_c: int) -> CachingPolicy:
     m = dist.m
     k = min(_FIRST_PREFIX, m)
     while True:
-        z = dist.probs[:k] ** (1.0 / phi)
+        z = dist.head(k) ** (1.0 / phi)
         nu_at = np.arange(k, dtype=np.float64) / np.cumsum(1.0 / z)
         # first m with z[m+1] <= nu_m ends the support; otherwise all of 1..m
         below = np.nonzero(z[1:] <= nu_at[:-1])[0]
@@ -110,10 +120,12 @@ def waterfill(dist: MZipfDist, s: int, g_c: int) -> CachingPolicy:
         k = min(2 * k, m)
     m_star = int(below[0]) + 1 if below.size else m
     nu = float(nu_at[m_star - 1])
-    probs = np.zeros(m)
-    probs[:m_star] = 1.0 - nu / z[:m_star]
+    probs = 1.0 - nu / z[:m_star]
+    # a rank whose tilted popularity ties the level has mass 0 in exact
+    # arithmetic, which rounding can turn negative: the support ends before it
+    probs = probs[:np.count_nonzero(probs > 0.0)]
     probs.flags.writeable = False
-    return CachingPolicy(probs=probs, nu=nu, m_star=m_star, exponent_denom=phi)
+    return CachingPolicy(probs=probs, nu=nu, m=m, exponent_denom=phi)
 
 
 def hit_probability(dist: MZipfDist, policy: CachingPolicy, s: int, g_c: int) -> float:
@@ -124,12 +136,10 @@ def hit_probability(dist: MZipfDist, policy: CachingPolicy, s: int, g_c: int) ->
     exactly 0: a correctly rounded ``math.fsum`` over the support.
     """
     phi = _exponent_denom(s, g_c)
-    if len(policy.probs) != dist.m:
-        raise DomainError(
-            f"policy covers {len(policy.probs)} files, popularity has {dist.m}"
-        )
-    k = policy.m_star
-    return math.fsum((dist.probs[:k] * (1.0 - (1.0 - policy.probs[:k]) ** (phi + 1))).tolist())
+    if policy.m != dist.m:
+        raise DomainError(f"policy covers {policy.m} files, popularity has {dist.m}")
+    pop = dist.head(policy.m_star)
+    return math.fsum((pop * (1.0 - (1.0 - policy.probs) ** (phi + 1))).tolist())
 
 
 def solve_cutoff_constant(c2: float) -> float:

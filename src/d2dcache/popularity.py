@@ -183,14 +183,15 @@ class MZipfDist:
     normalizer : float
         ``sum_{j=1..m} (j + q)**(-gamma)``.
     probs : numpy.ndarray
-        Full pmf over ranks, ``probs[f-1] = p(f)``; read-only.
+        Full pmf over ranks, ``probs[f-1] = p(f)``; read-only.  Built on
+        first use (sampling, :meth:`pmf` or a caller); analysis reads
+        prefixes through :meth:`head` and never builds it.
     """
 
     gamma: float
     q: float
     m: int
     normalizer: float = field(init=False, repr=False)
-    probs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.gamma < math.inf:
@@ -200,12 +201,32 @@ class MZipfDist:
         if int(self.m) < 1:
             raise DomainError(f"m must be >= 1, got {self.m}")
         object.__setattr__(self, "m", int(self.m))
-        weights = (np.arange(1, self.m + 1, dtype=np.float64) + self.q) ** (-self.gamma)
-        norm = math.fsum(float(np.sum(weights[i:i + _CHUNK])) for i in range(0, self.m, _CHUNK))
-        probs = weights / norm
-        probs.flags.writeable = False
+        # one _CHUNK of weights at a time: the memory is flat in m
+        norm = math.fsum(float(np.sum(self._weights(i, min(i + _CHUNK, self.m))))
+                         for i in range(0, self.m, _CHUNK))
         object.__setattr__(self, "normalizer", norm)
-        object.__setattr__(self, "probs", probs)
+
+    def _weights(self, lo: int, hi: int) -> np.ndarray:
+        """``(f + q)**(-gamma)`` for ranks ``f = lo+1..hi``."""
+        w = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        w += self.q
+        w **= -self.gamma
+        return w
+
+    def head(self, k: int) -> np.ndarray:
+        """The pmf of ranks ``1..k``, bit-equal to ``probs[:k]``; O(k)."""
+        k = int(k)
+        if not 0 <= k <= self.m:
+            raise DomainError(f"prefix length must be in 0..{self.m}, got {k}")
+        out = self._weights(0, k)
+        out /= self.normalizer
+        return out
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        probs = self.head(self.m)
+        probs.flags.writeable = False
+        return probs
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray]:

@@ -12,15 +12,21 @@ import bisect
 import csv
 import io
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from d2dcache.errors import DomainError
-from d2dcache.policy import CachingPolicy, _exponent_denom
+from d2dcache.policy import _exponent_denom
 from d2dcache.simulator import Realization
 
 # chunk length of the first, streamed partial sum
 _CHUNK = 1 << 22
+
+
+def full_placement(policy):
+    """A policy's placement over all m ranks: its support padded with zeros."""
+    return np.pad(policy.probs, (0, policy.m - policy.m_star))
 
 
 def placement_cdf(probs):
@@ -47,7 +53,7 @@ def dense_table_realize(config, dist, policy, rng):
     n = config.n
     clusters = config.cluster_map()
     u = rng.random((n, config.s))
-    caches = np.searchsorted(placement_cdf(policy.probs), u, side="right") + 1
+    caches = np.searchsorted(placement_cdf(full_placement(policy)), u, side="right") + 1
     u = rng.random(n)
     requests = np.searchsorted(placement_cdf(dist.probs), u, side="right") + 1
 
@@ -169,11 +175,21 @@ def project_simplex(v):
     return np.maximum(v - theta, 0.0)
 
 
+@dataclass(frozen=True)
+class DensePolicy:
+    """The first ``CachingPolicy``: a placement over all m ranks, zero tail included."""
+
+    probs: np.ndarray
+    nu: float
+    m_star: int
+    exponent_denom: int
+
+
 def dense_waterfill(dist, s, g_c):
     """The first ``waterfill``, kept verbatim: the level scan over all m ranks.
 
-    ``policy.waterfill`` scans a doubling prefix instead and must return a
-    bit-equal policy.
+    ``policy.waterfill`` scans a doubling prefix instead and must return
+    this support bit for bit, with every later rank at zero.
     """
     phi = _exponent_denom(s, g_c)
     z = dist.probs ** (1.0 / phi)
@@ -182,7 +198,7 @@ def dense_waterfill(dist, s, g_c):
     if m == 1:
         probs = np.ones(1)
         probs.flags.writeable = False
-        return CachingPolicy(probs=probs, nu=0.0, m_star=1, exponent_denom=phi)
+        return DensePolicy(probs=probs, nu=0.0, m_star=1, exponent_denom=phi)
     idx = np.arange(1, m + 1, dtype=np.float64)
     nu_at = (idx - 1.0) / inv_csum
     # first m with z[m+1] <= nu_m ends the support; otherwise all of 1..m
@@ -192,7 +208,7 @@ def dense_waterfill(dist, s, g_c):
     probs = np.zeros(m)
     probs[:m_star] = 1.0 - nu / z[:m_star]
     probs.flags.writeable = False
-    return CachingPolicy(probs=probs, nu=nu, m_star=m_star, exponent_denom=phi)
+    return DensePolicy(probs=probs, nu=nu, m_star=m_star, exponent_denom=phi)
 
 
 def mpmath_hit_probability(pop, placement, exponent, dps=50):
@@ -204,7 +220,7 @@ def mpmath_hit_probability(pop, placement, exponent, dps=50):
         one = mpmath.mpf(1)
         return float(mpmath.fsum(
             mpmath.mpf(p) * (one - (one - mpmath.mpf(x)) ** exponent)
-            for p, x in zip(np.asarray(pop).tolist(), np.asarray(placement).tolist())
+            for p, x in zip(np.asarray(pop).tolist(), np.asarray(placement).tolist(), strict=True)
         ))
 
 

@@ -17,7 +17,7 @@ from d2dcache.fitting import synthetic_records
 from d2dcache.policy import asymptotic_constants, hit_probability, waterfill
 from d2dcache.popularity import MZipfDist
 
-from oracles import hashmap_dedupe, rowwise_policy_csv
+from oracles import full_placement, hashmap_dedupe, rowwise_policy_csv
 
 
 def scenario_file(path, **kw):
@@ -120,6 +120,28 @@ class TestFit:
         rc = main(["fit", "--log", str(log), "--out", str(tmp_path / "o")])
         assert rc == 0
         assert "single content" in capsys.readouterr().err
+        got = json.loads((tmp_path / "o" / "fit_result.json").read_text())
+        assert len(got["warnings"]) == 1 and "single content" in got["warnings"][0]
+
+    def test_optimum_on_upper_edge_of_search_box_warns(self, tmp_path, capsys):
+        dist = MZipfDist(1.28, 34.0, 2000)
+        log = write_log(tmp_path / "log.csv",
+                        synthetic_records(dist, 50_000, 1, np.random.default_rng(3)))
+        cases = [([], None, None), (["--gamma-hi", "1.0"], "gamma", 1.0),
+                 (["--q-hi", "10"], "q", 10.0)]
+        for i, (args, name, edge) in enumerate(cases):
+            out = tmp_path / f"o{i}"
+            assert main(["fit", "--log", log, "--m", "2000", "--out", str(out), *args]) == 0
+            err = capsys.readouterr().err
+            got = json.loads((out / "fit_result.json").read_text())
+            if name is None:
+                assert got["warnings"] == [] and "warning" not in err
+                assert abs(got["gamma"] - 1.28) < 0.05
+            else:
+                assert got[name] == edge and len(got["warnings"]) == 1
+                assert f"{name} = {edge}" in got["warnings"][0]
+                assert "upper edge" in got["warnings"][0]
+                assert f"warning: {got['warnings'][0]}" in err
 
     def test_export_empirical(self, tmp_path):
         log = tmp_path / "log.csv"
@@ -215,7 +237,7 @@ class TestPolicyCmd:
         assert cols == ["rank", "p_c"]
         assert len(rows) == 1000
         got = np.array([float(r["p_c"]) for r in rows])
-        assert np.array_equal(got, pol.probs)
+        assert np.array_equal(got, full_placement(pol))
 
         con = json.loads((tmp_path / "o" / "policy_constants.json").read_text())
         assert con["m_star"] == pol.m_star
@@ -256,7 +278,7 @@ class TestPolicyCsvWriter:
         assert main(["policy", "--scenario", scn, "--out", str(tmp_path / "o")]) == 0
         text = (tmp_path / "o" / "policy.csv").read_bytes().decode()
         pol = waterfill(MZipfDist(0.6, 20.0, m), 1, 10_000 // n_clusters)
-        assert text.split("\n", 1)[1] == rowwise_policy_csv(pol.probs)
+        assert text.split("\n", 1)[1] == rowwise_policy_csv(full_placement(pol))
         return m - pol.m_star
 
     @pytest.mark.parametrize("m, n_clusters", [(1, 100), (50, 1)])
@@ -274,6 +296,54 @@ class TestPolicyCsvWriter:
     def test_tail_at_chunk_boundary(self, tmp_path, off):
         tail = cli._TAIL_CHUNK + off
         assert self.table(tmp_path, 214 + tail, 100) == tail
+
+    @pytest.mark.parametrize("m", [999, 1000, 9999, 10_000])
+    def test_library_at_power_of_ten(self, tmp_path, m):
+        assert self.table(tmp_path, m, 100) == m - 214
+
+
+# (lo, m): the zero rows of ranks lo..m; every digit boundary from 9 -> 10 to
+# 999 999 -> 1 000 000 is crossed, m = 10^k and m = 10^k - 1 for k = 1..6
+ZERO_TAILS = [(1, 10**6), (2, 9), (2, 10)] + [
+    case for k in range(2, 7)
+    for case in [(10**k - 3, 10**k + 2), (2, 10**k - 1), (2, 10**k), (10**k, 10**k)]
+]
+
+
+class TestZeroRowWriter:
+    """cli._write_zero_rows against one csv.writer row per rank."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return rowwise_policy_csv(np.zeros(10**6 + 10)).split("\n", 1)[1]
+
+    @staticmethod
+    def want(rows, lo, m):
+        start = 0 if lo == 1 else rows.index(f"\n{lo},") + 1
+        return rows[start:rows.index(f"\n{m + 1},") + 1]
+
+    def check(self, rows, lo, m):
+        fh = io.StringIO(newline="")
+        cli._write_zero_rows(fh, lo, m + 1)
+        got, want = fh.getvalue(), self.want(rows, lo, m)
+        if got != want:  # not an assert: pytest's diff of megabytes takes minutes
+            pairs = enumerate(zip(got, want))
+            i = next((i for i, (a, b) in pairs if a != b), min(len(got), len(want)))
+            pytest.fail(f"first difference at {i}: {got[i:i + 30]!r} != {want[i:i + 30]!r}")
+
+    @pytest.mark.parametrize("lo, m", ZERO_TAILS)
+    def test_matches_rowwise_writer(self, rows, lo, m):
+        self.check(rows, lo, m)
+
+    @pytest.mark.parametrize("lo, m", [(1, 10_000), (5, 1002), (95, 105)])
+    def test_small_blocks(self, rows, monkeypatch, lo, m):
+        monkeypatch.setattr(cli, "_TAIL_CHUNK", 7)
+        self.check(rows, lo, m)
+
+    def test_empty_range_writes_nothing(self):
+        fh = io.StringIO()
+        cli._write_zero_rows(fh, 11, 11)
+        assert fh.getvalue() == ""
 
 
 class TestAnalyzeCmd:
@@ -327,6 +397,16 @@ class TestSimulateCmd:
         assert got["outage_stderr"] > 0
         gap = abs(got["outage_mean"] - got["exact_outage"])
         assert gap < 4 * got["outage_stderr"]
+        z = (got["outage_mean"] - got["exact_outage"]) / got["outage_stderr"]
+        assert got["outage_z"] == z
+
+    def test_outage_z_is_null_without_spread(self, tmp_path):
+        # one file, held by every cache: each trial serves everyone
+        scn = scenario_file(tmp_path / "s.json", n=16, gamma=1.0, q=0.0, m=1,
+                            n_clusters=4, trials=3, seed=1)
+        assert main(["simulate", "--scenario", scn, "--out", str(tmp_path / "o")]) == 0
+        got = json.loads((tmp_path / "o" / "sim_result.json").read_text())
+        assert got["outage_stderr"] == 0.0 and got["outage_z"] is None
 
     def test_rerun_is_bitwise_identical(self, tmp_path):
         scn = scenario_file(tmp_path / "s.json", n=400, gamma=0.8, q=5.0, m=200,
@@ -363,7 +443,7 @@ class TestSweepCmd:
         meta, cols, rows = read_table(tmp_path / "o" / "tradeoff.csv")
         assert meta.startswith("# d2dcache ") and meta.endswith("seed=2024")
         assert cols == ["n_clusters", "g_c", "outage", "outage_stderr",
-                        "throughput", "throughput_stderr", "source"]
+                        "throughput", "throughput_stderr", "source", "outage_z"]
         by_gc = {}
         for r in rows:
             by_gc.setdefault(int(r["g_c"]), []).append(r)
@@ -375,10 +455,11 @@ class TestSweepCmd:
             sim = next(float(r["outage"]) for r in grp if r["source"] == "simulated")
             for r in grp:
                 assert abs(float(r["outage"]) - sim) <= 0.05, (g_c, r["source"])
-            # stderr columns populated only for the simulated rows
+            # stderr and z columns populated only for the simulated rows
             for r in grp:
                 has_err = r["outage_stderr"] != ""
                 assert has_err == (r["source"] == "simulated")
+                assert (r["outage_z"] != "") == has_err
             assert all(int(r["n_clusters"]) * g_c == 10000 for r in grp)
 
     def test_rerun_is_bitwise_identical(self, tmp_path):
@@ -407,6 +488,21 @@ class TestSweepCmd:
         got = json.loads((tmp_path / "s" / "sim_result.json").read_text())
         assert got["exact_outage"] == exact["4"]
         assert abs(got["outage_mean"] - got["exact_outage"]) < 5 * got["outage_stderr"]
+
+    def test_readme_scenario_outage_z(self, tmp_path):
+        """Each simulated row's z is its distance from the same config's
+        exact_sum row in standard errors, below 5 on the README scenario."""
+        scn = scenario_file(tmp_path / "s.json", **FIG_SCENARIO, n_clusters=100,
+                            cluster_counts=[16, 25, 100, 400], trials=200, seed=7)
+        assert main(["sweep", "--scenario", scn, "--out", str(tmp_path / "o")]) == 0
+        _, _, rows = read_table(tmp_path / "o" / "tradeoff.csv")
+        exact = {r["g_c"]: float(r["outage"]) for r in rows if r["source"] == "exact_sum"}
+        sims = [r for r in rows if r["source"] == "simulated"]
+        assert len(sims) == 4
+        for r in sims:
+            z = (float(r["outage"]) - exact[r["g_c"]]) / float(r["outage_stderr"])
+            assert float(r["outage_z"]) == z and abs(z) < 5, (r["g_c"], z)
+        assert all(r["outage_z"] == "" for r in rows if r["source"] != "simulated")
 
     def test_infeasible_counts_warned(self, tmp_path, capsys):
         scn = scenario_file(tmp_path / "s.json", n=2500, gamma=0.7, q=10.0, m=400,
@@ -437,6 +533,32 @@ class TestSharedCurves:
         want = sorted(tuple(r[k] for k in key) for r in analyzed)
         got = sorted(tuple(r[k] for k in key) for r in swept if r["source"] != "simulated")
         assert len(want) > 7 and got == want
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids,
+                                                              max_size=3),
+    max_leaves=8,
+)
+
+
+def shuffled(value, rnd):
+    """``value`` with the keys of every dict in it inserted in a random order."""
+    if isinstance(value, dict):
+        items = list(value.items())
+        rnd.shuffle(items)
+        return {k: shuffled(v, rnd) for k, v in items}
+    if isinstance(value, list):
+        return [shuffled(v, rnd) for v in value]
+    return value
+
+
+@settings(max_examples=60, deadline=None)
+@given(payload=st.dictionaries(st.text(max_size=8), json_values, max_size=12),
+       rnd=st.randoms(use_true_random=False))
+def test_scenario_hash_ignores_key_order(payload, rnd):
+    assert cli._scenario_hash(shuffled(payload, rnd)) == cli._scenario_hash(payload)
 
 
 class TestScenarioValidation:

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2dcache import ConfigError, DomainError, MZipfDist, NetworkConfig, RegimeParams
 from d2dcache.policy import (
     _FIRST_PREFIX,
+    CachingPolicy,
     asymptotic_constants,
     hit_probability,
     solve_cutoff_constant,
@@ -13,7 +16,12 @@ from d2dcache.policy import (
 )
 from d2dcache.popularity import _invert
 
-from oracles import dense_waterfill, mpmath_hit_probability, pga_optimal_placement
+from oracles import (
+    dense_waterfill,
+    full_placement,
+    mpmath_hit_probability,
+    pga_optimal_placement,
+)
 
 P = _FIRST_PREFIX
 
@@ -24,9 +32,9 @@ def test_waterfill_hand_example():
     d = MZipfDist(gamma=1.0, q=0.0, m=3)
     pol = waterfill(d, s=1, g_c=3)
     assert pol.exponent_denom == 1
-    assert pol.m_star == 2
+    assert pol.m_star == 2 and pol.m == 3
     assert math.isclose(pol.nu, 2.0 / 11.0, rel_tol=1e-13)
-    np.testing.assert_allclose(pol.probs, [2.0 / 3.0, 1.0 / 3.0, 0.0], atol=1e-13)
+    np.testing.assert_allclose(full_placement(pol), [2.0 / 3.0, 1.0 / 3.0, 0.0], atol=1e-13)
 
 
 def test_hit_probability_hand_example():
@@ -68,10 +76,13 @@ def test_placement_table_ends_at_support(g_c):
 
 
 def assert_bit_equal(got, want):
+    # the policy holds the support; the dense scan's array runs over all m ranks
     assert got.m_star == want.m_star
+    assert got.m == len(want.probs)
     assert got.exponent_denom == want.exponent_denom
     assert np.float64(got.nu).tobytes() == np.float64(want.nu).tobytes()
-    assert got.probs.tobytes() == want.probs.tobytes()
+    assert got.probs.tobytes() == want.probs[:want.m_star].tobytes()
+    assert not np.any(want.probs[want.m_star:])
     assert not got.probs.flags.writeable
 
 
@@ -119,8 +130,59 @@ def test_hit_probability_matches_mpmath_sum(gamma, q, m, s, g_c):
     d = MZipfDist(gamma, q, m)
     pol = waterfill(d, s, g_c)
     for size in (g_c, g_c + 1):
-        want = mpmath_hit_probability(d.probs, pol.probs, s * (size - 1))
+        want = mpmath_hit_probability(d.probs, full_placement(pol), s * (size - 1))
         assert hit_probability(d, pol, s, size) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_policy_holds_support_only():
+    d = MZipfDist(0.6, 20.0, 1000)
+    pol = waterfill(d, 1, 100)
+    assert pol.m == 1000 and pol.m_star == len(pol.probs) == 214
+    assert "probs" not in vars(d)  # the placement reads pmf prefixes only
+
+
+def test_hit_probability_reads_the_whole_support():
+    # m_star is the support's length, so no rank of it can be left out of the sum
+    pol = CachingPolicy(probs=np.array([0.5, 0.5]), nu=0.0, m=2, exponent_denom=2)
+    assert pol.m_star == 2
+    assert math.isclose(hit_probability(MZipfDist(1.0, 0.0, 2), pol, 1, 4), 0.875,
+                        rel_tol=1e-15)
+
+
+def test_policy_and_popularity_must_cover_one_library():
+    pol = waterfill(MZipfDist(0.6, 20.0, 1000), 1, 100)
+    with pytest.raises(DomainError, match="policy covers 1000 files, popularity has 999"):
+        hit_probability(MZipfDist(0.6, 20.0, 999), pol, 1, 100)
+    for probs, m in [(np.array([]), 3), (np.full(4, 0.25), 3)]:
+        with pytest.raises(DomainError, match="support"):
+            CachingPolicy(probs=probs, nu=0.0, m=m, exponent_denom=2)
+
+
+def test_rank_tying_the_level_is_left_out():
+    # gamma = 2, q = 2, phi = 1: z_3 = 1/25 equals the level of ranks 1..2 and of
+    # 1..3 in exact arithmetic, so rank 3 has mass 0; the level scan admits it
+    # and rounding gives it -2.2e-16
+    d = MZipfDist(2.0, 2.0, 46)
+    dense = dense_waterfill(d, 1, 3)
+    assert dense.m_star == 3 and dense.probs[2] < 0.0
+    pol = waterfill(d, 1, 3)
+    assert pol.m_star == 2 and np.all(pol.probs > 0.0)
+    assert pol.probs.tobytes() == dense.probs[:2].tobytes() and pol.nu == dense.nu
+
+
+# the support's sum is 1 up to the rounding of a sequential cumsum, which grows
+# with m_star (about 1e-11 at m_star ~ 3000); m <= 150 keeps it below 1e-12
+@settings(max_examples=200, deadline=None)
+@given(gamma=st.floats(0.05, 3.0), q=st.floats(0.0, 100.0), m=st.integers(1, 150),
+       s=st.integers(1, 4), g_c=st.integers(2, 10**6))
+def test_waterfill_support_property(gamma, q, m, s, g_c):
+    if s * (g_c - 1) < 2:
+        g_c = 3
+    pol = waterfill(MZipfDist(gamma, q, m), s, g_c)
+    p = pol.probs
+    assert 1 <= pol.m_star <= m and pol.m == m
+    assert np.all(p > 0.0) and np.all(np.diff(p) <= 0.0)
+    assert abs(math.fsum(p.tolist()) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("s, g_c, reason", [
@@ -151,7 +213,7 @@ def test_policy_structure_random_instances():
         g_c = int(rng.integers(3, 11))
         d = MZipfDist(gamma, q, m)
         pol = waterfill(d, s, g_c)
-        p = pol.probs
+        p = full_placement(pol)
         assert np.all(p >= 0.0) and np.all(p <= 1.0)
         assert abs(p.sum() - 1.0) < 1e-9
         assert np.all(np.diff(p) <= 1e-15)
@@ -203,7 +265,7 @@ def test_matches_projected_gradient_large():
     d = MZipfDist(gamma=0.6, q=20.0, m=1000)
     pol = waterfill(d, s=1, g_c=100)
     x, val = pga_optimal_placement(d.probs, exponent=99, n_starts=20, seed=2)
-    assert np.max(np.abs(x - pol.probs)) < 1e-6
+    assert np.max(np.abs(x - full_placement(pol))) < 1e-6
     assert abs(hit_probability(d, pol, 1, 100) - val) < 1e-9
 
 

@@ -11,6 +11,7 @@ from d2dcache.popularity import _guide_table, _head_terms, _invert
 
 from oracles import (
     bisect_ranks,
+    full_placement,
     hurwitz_partial_sum,
     mpmath_normalizer,
     naive_partial_sum,
@@ -81,8 +82,18 @@ def test_normalizer_and_probs_bit_identical_to_streamed_sum(m):
     d = MZipfDist(gamma=0.78, q=3.5, m=m)
     norm = streamed_partial_sum(0.78, 3.5, 1, m)
     assert d.normalizer == norm
-    weights = (np.arange(1, m + 1, dtype=np.float64) + 3.5) ** (-0.78)
-    np.testing.assert_array_equal(d.probs, weights / norm)
+    dense = (np.arange(1, m + 1, dtype=np.float64) + 3.5) ** (-0.78) / norm
+    for k in sorted({0, 1, 1023, 1024, 1025, m} & set(range(m + 1))):
+        assert d.head(k).tobytes() == dense[:k].tobytes(), k
+    assert "probs" not in vars(d)  # prefixes never build the full pmf
+    assert d.probs.tobytes() == dense.tobytes()
+    assert not d.probs.flags.writeable
+
+
+@pytest.mark.parametrize("k", [-1, 11])
+def test_head_rejects_prefix_outside_library(k):
+    with pytest.raises(DomainError, match="prefix length"):
+        MZipfDist(1.0, 0.0, 10).head(k)
 
 
 def test_head_length_is_least_meeting_remainder_bound():
@@ -232,7 +243,7 @@ def test_guide_table_inversion_matches_bisection(m):
     dist = MZipfDist(gamma=1.28, q=34.0, m=m)
     # a placement has a zero tail, so its cdf is flat after the support; a
     # uniform pmf puts cdf values within rounding of the bucket edges
-    for probs in (dist.probs, waterfill(dist, 1, 4).probs, np.full(m, 1.0 / m)):
+    for probs in (dist.probs, full_placement(waterfill(dist, 1, 4)), np.full(m, 1.0 / m)):
         cdf = placement_cdf(probs)
         # random uniforms, then every bucket edge k/m and every cdf value,
         # each with the floats just below and above it

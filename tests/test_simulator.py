@@ -19,6 +19,7 @@ from d2dcache.popularity import MZipfDist
 from d2dcache.simulator import (
     NetworkConfig,
     Realization,
+    curve_points,
     monte_carlo,
     per_user_throughput,
     realize,
@@ -100,9 +101,7 @@ class TestRealize:
                 return np.full(size, 2, dtype=np.int64)
 
         cfg = NetworkConfig(n=16, n_clusters=4, s=1)
-        policy = CachingPolicy(
-            probs=np.array([1.0, 0.0]), nu=0.0, m_star=1, exponent_denom=2
-        )
+        policy = CachingPolicy(probs=np.array([1.0]), nu=0.0, m=2, exponent_denom=2)
         real = realize(cfg, AlwaysFileTwo(), policy, np.random.default_rng(1))
         t_sum, t_min, outage = throughput_accounting(cfg, real)
         assert outage == 1.0
@@ -172,6 +171,24 @@ class TestRealize:
             tracemalloc.stop()
         assert real.requests.max() > real.caches.max()
         assert peak < 200e6
+
+
+def test_analysis_memory_does_not_grow_with_library():
+    # the normalizer holds one 2^22-rank chunk at a time and the placement
+    # reads pmf prefixes only, so 10^7 ranks peak no higher than 2^22
+    cfg = NetworkConfig(n=10_000, n_clusters=100, s=1, k=4)
+    peaks = []
+    for m in (1 << 22, 10**7):
+        tracemalloc.start()
+        try:
+            dist = MZipfDist(0.6, 20.0, m)
+            curve_points(cfg, dist, waterfill(dist, cfg.s, cfg.g_c))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "probs" not in vars(dist)
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
 
 
 class TestMonteCarlo:
