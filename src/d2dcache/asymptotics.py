@@ -98,6 +98,11 @@ class RegimeParams:
         return solve_cutoff_constant(self.c2)
 
     @property
+    def m_star_asym(self) -> float:
+        """Large-cluster approximation of the water-filling support size, capped at m."""
+        return min(self.c1 * self.s * self.g_c / self.gamma, float(self.m))
+
+    @property
     def alpha(self) -> float:
         # cluster-size exponent of the subcritical regime; meaningless
         # outside gamma < 1

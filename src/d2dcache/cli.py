@@ -34,9 +34,16 @@ from .fitting import (
     load_access_log,
     write_empirical_csv,
 )
-from .policy import asymptotic_constants, waterfill
+from .policy import waterfill
 from .popularity import MZipfDist
-from .simulator import NetworkConfig, _served_probability, curve_points, monte_carlo, sweep
+from .simulator import (
+    NetworkConfig,
+    _regime_params,
+    _served_probability,
+    curve_points,
+    monte_carlo,
+    sweep,
+)
 
 SCENARIO_KEYS = {
     "n", "s", "k", "c_rate", "gamma", "q", "m", "fit_result",
@@ -136,10 +143,12 @@ def _configs(scn: dict) -> list[NetworkConfig]:
     return configs
 
 
-def _effective_seed(args, scn: dict, required: bool):
+def _effective_seed(args, scn: dict) -> int:
     seed = args.seed if args.seed is not None else scn.get("seed")
-    if required and seed is None:
+    if seed is None:
         raise ConfigError("a seed is required: pass --seed or set 'seed' in the scenario")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return seed
 
 
@@ -303,7 +312,7 @@ def cmd_policy(args) -> int:
     cfg = _network(scn, int(scn["n_clusters"]))
     policy = waterfill(dist, cfg.s, cfg.g_c)
     hit = _served_probability(cfg, dist, policy)
-    con = asymptotic_constants(dist, cfg.s, cfg.g_c)
+    con = _regime_params(cfg, dist)
     scn_hash = _scenario_hash({"command": "policy", **scn})
     out = _out_dir(args)
     with open(out / "policy.csv", "w", newline="") as fh:
@@ -360,10 +369,10 @@ def cmd_simulate(args) -> int:
     _require(scn, ("n", "n_clusters"), "simulate")
     dist = _dist(scn)
     cfg = _network(scn, int(scn["n_clusters"]))
-    seed = _effective_seed(args, scn, required=True)
+    seed = _effective_seed(args, scn)
     trials = args.trials if args.trials is not None else scn.get("trials", 100)
     policy = waterfill(dist, cfg.s, cfg.g_c)
-    res = monte_carlo(cfg, dist, policy, trials, seed, workers=args.workers)
+    res = monte_carlo(cfg, dist, policy, trials, seed)
     exact_outage = curve_points(cfg, dist, policy)[0].outage
     scn_hash = _scenario_hash(
         {"command": "simulate", **scn, "trials": trials, "seed": seed}
@@ -398,10 +407,10 @@ def cmd_sweep(args) -> int:
     scn = load_scenario(args.scenario)
     _require(scn, ("n", "cluster_counts"), "sweep")
     dist = _dist(scn)
-    seed = _effective_seed(args, scn, required=True)
+    seed = _effective_seed(args, scn)
     trials = args.trials if args.trials is not None else scn.get("trials", 100)
     configs = _configs(scn)
-    points = sweep(configs, dist, trials, seed, workers=args.workers)
+    points = sweep(configs, dist, trials, seed)
     scn_hash = _scenario_hash(
         {"command": "sweep", **scn, "trials": trials, "seed": seed}
     )
@@ -480,14 +489,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--scenario", required=True)
     common(p_sim, "master seed (required here or in the scenario)")
     p_sim.add_argument("--trials", type=int, default=None)
-    p_sim.add_argument("--workers", type=int, default=1)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_swp = sub.add_parser("sweep", help="full tradeoff sweep with overlays")
     p_swp.add_argument("--scenario", required=True)
     common(p_swp, "master seed (required here or in the scenario)")
     p_swp.add_argument("--trials", type=int, default=None)
-    p_swp.add_argument("--workers", type=int, default=1)
+    # accepted only as 1 and never read: bench/workloads.py still passes --workers 1
+    p_swp.add_argument("--workers", type=int, choices=[1], help=argparse.SUPPRESS)
     p_swp.set_defaults(func=cmd_sweep)
 
     return parser

@@ -28,11 +28,9 @@ from .popularity import MZipfDist, _guide_table
 
 __all__ = [
     "CachingPolicy",
-    "AsymptoticConstants",
     "waterfill",
     "hit_probability",
     "solve_cutoff_constant",
-    "asymptotic_constants",
 ]
 
 _FIRST_PREFIX = 1024  # pmf prefix the water-level scan of ``waterfill`` starts from
@@ -167,28 +165,3 @@ def solve_cutoff_constant(c2: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class AsymptoticConstants:
-    """Scaling constants of the water-filling cutoff for one geometry.
-
-    ``a_prime = gamma/phi`` is the tilted decay exponent, ``c2 = q*a_prime``
-    the rescaled plateau, ``c1`` the cutoff constant solving the fixed
-    point above, and ``m_star_asym = min(c1*s*g_c/gamma, m)`` the
-    large-cluster approximation of the exact support size.
-    """
-
-    a_prime: float
-    c1: float
-    c2: float
-    m_star_asym: float
-
-
-def asymptotic_constants(dist: MZipfDist, s: int, g_c: int) -> AsymptoticConstants:
-    phi = _exponent_denom(s, g_c)
-    a_prime = dist.gamma / phi
-    c2 = dist.q * a_prime
-    c1 = solve_cutoff_constant(c2)
-    m_star_asym = min(c1 * s * g_c / dist.gamma, float(dist.m))
-    return AsymptoticConstants(a_prime=a_prime, c1=c1, c2=c2, m_star_asym=m_star_asym)

@@ -25,7 +25,6 @@ whatever the library size ``m``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -184,7 +183,6 @@ class SimResult:
     throughput_min_mean: float
     throughput_min_stderr: float
     trials: int
-    seed: int
 
 
 def _as_seedseq(seed) -> np.random.SeedSequence:
@@ -194,44 +192,37 @@ def _as_seedseq(seed) -> np.random.SeedSequence:
 
 
 def monte_carlo(config: NetworkConfig, dist, policy: CachingPolicy, trials: int,
-                seed, workers: int = 1) -> SimResult:
+                seed) -> SimResult:
     """Average outage and per-user throughput over independent trials.
 
     Bitwise deterministic in (config, dist, policy, trials, seed): each
-    trial gets its own child generator and results are reduced in trial
-    order, so ``workers`` changes wall time only.
+    trial gets its own child generator, in trial order.
     """
     if trials < 2:
         raise DomainError(f"need at least 2 trials for a stderr, got {trials}")
-    ss = _as_seedseq(seed)
-    children = ss.spawn(trials)
     outages = np.empty(trials)
     tmins = np.empty(trials)
-
-    def run(t: int):
-        real = realize(config, dist, policy, np.random.default_rng(children[t]))
-        _, t_min, outage = throughput_accounting(config, real)
-        outages[t] = outage
-        tmins[t] = t_min
-
-    if workers <= 1:
-        for t in range(trials):
-            run(t)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(run, range(trials)))
+    for t, child in enumerate(_as_seedseq(seed).spawn(trials)):
+        real = realize(config, dist, policy, np.random.default_rng(child))
+        _, tmins[t], outages[t] = throughput_accounting(config, real)
 
     def stderr(x):
         return float(x.std(ddof=1) / math.sqrt(trials))
 
-    entropy = ss.entropy
     return SimResult(
         outage_mean=float(outages.mean()),
         outage_stderr=stderr(outages),
         throughput_min_mean=float(tmins.mean()),
         throughput_min_stderr=stderr(tmins),
         trials=trials,
-        seed=int(entropy) if isinstance(entropy, int) else 0,
+    )
+
+
+def _regime_params(config: NetworkConfig, dist) -> RegimeParams:
+    """The closed forms' parameter point at ``config``'s geometry and ``dist``'s law."""
+    return RegimeParams(
+        gamma=dist.gamma, q=dist.q, m=dist.m, s=config.s, g_c=config.g_c,
+        k=config.k, c_rate=config.c_rate,
     )
 
 
@@ -253,14 +244,10 @@ def curve_points(config: NetworkConfig, dist, policy: CachingPolicy) -> list[Tra
         throughput=(config.c_rate / config.k) * p_good / g_c,
         source="exact_sum",
     )
-    regime = RegimeParams(
-        gamma=dist.gamma, q=dist.q, m=dist.m, s=config.s, g_c=g_c,
-        k=config.k, c_rate=config.c_rate,
-    )
-    return [exact, *theory_points(regime)]
+    return [exact, *theory_points(_regime_params(config, dist))]
 
 
-def sweep(configs, dist, trials: int, seed, workers: int = 1) -> list[TradeoffPoint]:
+def sweep(configs, dist, trials: int, seed) -> list[TradeoffPoint]:
     """Simulated point, then :func:`curve_points`, for each config in order.
 
     Each config is seeded by (seed, n_clusters), so adding or removing
@@ -271,7 +258,7 @@ def sweep(configs, dist, trials: int, seed, workers: int = 1) -> list[TradeoffPo
     for cfg in configs:
         policy = waterfill(dist, cfg.s, cfg.g_c)
         child = np.random.SeedSequence(entropy=master.entropy, spawn_key=(cfg.n_clusters,))
-        sim = monte_carlo(cfg, dist, policy, trials, child, workers=workers)
+        sim = monte_carlo(cfg, dist, policy, trials, child)
         points.append(
             TradeoffPoint(
                 g_c=cfg.g_c,

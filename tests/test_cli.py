@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from d2dcache import cli
 from d2dcache.cli import main
 from d2dcache.fitting import synthetic_records
-from d2dcache.policy import asymptotic_constants, hit_probability, waterfill
+from d2dcache.asymptotics import RegimeParams
+from d2dcache.policy import hit_probability, waterfill
 from d2dcache.popularity import MZipfDist
 
 from oracles import full_placement, hashmap_dedupe, rowwise_policy_csv
@@ -243,7 +244,7 @@ class TestPolicyCmd:
         assert con["m_star"] == pol.m_star
         assert con["nu"] == pol.nu
         assert con["hit_probability"] == hit_probability(dist, pol, 1, 100)
-        ac = asymptotic_constants(dist, 1, 100)
+        ac = RegimeParams(gamma=0.6, q=20.0, m=1000, s=1, g_c=100)
         assert con["c1"] == ac.c1 and con["c2"] == ac.c2
         assert con["m_star_asym"] == ac.m_star_asym
 
@@ -430,6 +431,12 @@ class TestSimulateCmd:
         got = json.loads((tmp_path / "o" / "sim_result.json").read_text())
         assert got["seed"] == 123
 
+    def test_workers_flag_removed(self, tmp_path):
+        scn = scenario_file(tmp_path / "s.json", n=400, gamma=0.8, q=5.0, m=200,
+                            n_clusters=16, trials=4, seed=1)
+        assert main(["simulate", "--scenario", scn, "--workers", "1",
+                     "--out", str(tmp_path)]) == 2
+
 
 class TestSweepCmd:
     def test_tradeoff_csv_sources_and_agreement(self, tmp_path):
@@ -518,6 +525,16 @@ class TestSweepCmd:
                             cluster_counts=[25], trials=4)
         assert main(["sweep", "--scenario", scn, "--out", str(tmp_path)]) == 2
 
+    def test_workers_accepts_only_one(self, tmp_path):
+        scn = scenario_file(tmp_path / "s.json", n=2500, gamma=0.7, q=10.0, m=400,
+                            cluster_counts=[25, 100], trials=5, seed=8)
+        for d, extra in (("a", []), ("b", ["--workers", "1"])):
+            assert main(["sweep", "--scenario", scn, *extra, "--out", str(tmp_path / d)]) == 0
+        assert (tmp_path / "a" / "tradeoff.csv").read_bytes() == \
+            (tmp_path / "b" / "tradeoff.csv").read_bytes()
+        assert main(["sweep", "--scenario", scn, "--workers", "2",
+                     "--out", str(tmp_path / "c")]) == 2
+
 
 class TestSharedCurves:
     def test_analyze_rows_equal_sweep_non_simulated_rows(self, tmp_path):
@@ -562,6 +579,15 @@ def test_scenario_hash_ignores_key_order(payload, rnd):
 
 
 class TestScenarioValidation:
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("from_flag", [True, False])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command, from_flag):
+        scn = scenario_file(tmp_path / "s.json", n=400, gamma=0.8, q=5.0, m=200, n_clusters=16,
+                            cluster_counts=[16], trials=4, **({} if from_flag else {"seed": -3}))
+        flag = ["--seed", "-1"] if from_flag else []
+        assert main([command, "--scenario", scn, *flag, "--out", str(tmp_path)]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     def test_non_finite_numbers_rejected(self, tmp_path, capsys):
         (tmp_path / "fr.json").write_text('{"gamma": NaN, "q": 20.0, "m": 1000}')
         cases = [

@@ -1,4 +1,5 @@
-"""Source hygiene checks that need no linter: every import is used.
+"""Source hygiene checks that need no linter: every import is used, and
+every name a package module exports is bound in it.
 
 An import counts as used when the name it binds appears anywhere in the
 module as a name (attribute chains count through their root) or is listed
@@ -6,6 +7,7 @@ in the module's ``__all__``.  ``from __future__`` imports are exempt.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -61,3 +63,12 @@ def test_scan_sees_unused_and_used_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_exports_are_bound(path):
+    # the benchmark tracer getattr()s every ``__all__`` entry, so a stale one breaks it
+    parts = path.relative_to(ROOT / "src").with_suffix("").parts
+    module = importlib.import_module(".".join(p for p in parts if p != "__init__"))
+    assert [n for n in getattr(module, "__all__", []) if not hasattr(module, n)] == []

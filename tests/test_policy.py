@@ -9,7 +9,6 @@ from d2dcache import ConfigError, DomainError, MZipfDist, NetworkConfig, RegimeP
 from d2dcache.policy import (
     _FIRST_PREFIX,
     CachingPolicy,
-    asymptotic_constants,
     hit_probability,
     solve_cutoff_constant,
     waterfill,
@@ -325,7 +324,7 @@ def test_cutoff_constant_residual_and_monotonicity():
 
 def test_asymptotic_constants():
     d = MZipfDist(gamma=0.6, q=20.0, m=1000)
-    con = asymptotic_constants(d, s=1, g_c=100)
+    con = RegimeParams(gamma=0.6, q=20.0, m=1000, s=1, g_c=100)
     assert math.isclose(con.a_prime, 0.6 / 98.0, rel_tol=1e-13)
     assert math.isclose(con.c2, 20.0 * 0.6 / 98.0, rel_tol=1e-13)
     assert math.isclose(con.c1, solve_cutoff_constant(con.c2), rel_tol=1e-13)
@@ -342,6 +341,6 @@ def test_asymptotic_cutoff_gap_shrinks():
         d = MZipfDist(gamma, 20.0 * scale, 1000 * scale)
         g_c = 100 * scale
         pol = waterfill(d, s, g_c)
-        con = asymptotic_constants(d, s, g_c)
+        con = RegimeParams(gamma, 20.0 * scale, 1000 * scale, s, g_c)
         gaps.append(abs(con.c1 * s * g_c / gamma - pol.m_star) / pol.m_star)
     assert gaps[2] <= gaps[1] <= gaps[0]

@@ -7,10 +7,13 @@ statistical tests pin the estimator to the exact hit probability within
 
 import dataclasses
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from d2dcache.cli import _configs
 from d2dcache.errors import ConfigError, DomainError
@@ -172,6 +175,25 @@ class TestRealize:
         assert real.requests.max() > real.caches.max()
         assert peak < 200e6
 
+    # tile * tiles is the grid side (<= 12); tiles**2 clusters of tile**2 >= 4
+    # users always meet the geometry rule
+    @settings(max_examples=200, deadline=None)
+    @given(tile=st.integers(2, 6), tiles=st.integers(1, 6), s=st.integers(1, 3),
+           k=st.integers(1, 4), c_rate=st.floats(1e-3, 1e3), self_cache=st.booleans(),
+           gamma=st.floats(0.05, 3.0), q=st.floats(0.0, 100.0), m=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_accounting_property(self, tile, tiles, s, k, c_rate, self_cache, gamma, q, m,
+                                 seed):
+        assume(tile * tiles <= 12)
+        cfg = NetworkConfig(n=(tile * tiles) ** 2, n_clusters=tiles**2, s=s, k=k,
+                            c_rate=c_rate, include_self_cache=self_cache)
+        dist = MZipfDist(gamma, q, m)
+        policy = waterfill(dist, s, cfg.g_c)
+        real = realize(cfg, dist, policy, np.random.default_rng(seed))
+        _, _, outage = throughput_accounting(cfg, real)
+        assert not np.any(real.linked & ~real.served)
+        assert 0.0 <= outage <= 1.0
+
 
 def test_analysis_memory_does_not_grow_with_library():
     # the normalizer holds one 2^22-rank chunk at a time and the placement
@@ -211,30 +233,32 @@ class TestMonteCarlo:
         b = monte_carlo(cfg, dist, policy, trials=20, seed=7)
         assert a == b
 
-    def test_workers_do_not_change_results(self):
-        dist = MZipfDist(0.8, 5.0, 200)
-        cfg = NetworkConfig(n=400, n_clusters=16, s=1)
-        policy = waterfill(dist, 1, cfg.g_c)
-        a = monte_carlo(cfg, dist, policy, trials=24, seed=99, workers=1)
-        b = monte_carlo(cfg, dist, policy, trials=24, seed=99, workers=2)
-        assert a == b
-
     def test_lazy_tables_fill_safely_under_threads(self):
-        # fresh dist, policy and config, so the worker threads race to
-        # build the inversion tables and the cluster map
-        def run(workers):
+        # the threads share one fresh dist, policy and config, so they race
+        # to build the inversion tables and the cluster map
+        def fresh():
             dist = MZipfDist(0.8, 5.0, 200)
             cfg = NetworkConfig(n=400, n_clusters=16, s=1)
-            policy = waterfill(dist, 1, cfg.g_c)
-            return monte_carlo(cfg, dist, policy, trials=32, seed=5, workers=workers)
+            return cfg, dist, waterfill(dist, 1, cfg.g_c)
 
+        shared = fresh()
+        results = [None] * 8
+
+        def run(i):
+            results[i] = monte_carlo(*shared, trials=8, seed=5)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = run(8)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        assert threaded == run(1)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [monte_carlo(*fresh(), trials=8, seed=5)] * len(results)
 
     def test_outage_decreases_with_gamma(self):
         cfg = NetworkConfig(n=2500, n_clusters=25, s=1, k=1)
