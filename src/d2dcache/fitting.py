@@ -18,8 +18,10 @@ The search is deterministic: no randomness, ties broken toward smaller
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
-from array import array
+import re
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -237,50 +239,277 @@ def _parse_ts(text: str) -> float:
         return datetime.fromisoformat(text).timestamp()
 
 
+# characters read per block: at most 256 KiB of UTF-8, so the per-block arrays stay small
+_BLOCK = 1 << 16
+# rows per batch when csv.reader tokenises
+_CSV_ROWS = 1 << 12
+# zero bytes after each batch, so an 8-byte window from any field start stays inside
+_PAD = bytes(8)
+# str.strip's ASCII whitespace; wider characters are stripped by str.strip itself
+_BLANK = np.zeros(256, dtype=bool)
+_BLANK[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_POW10 = 10 ** np.arange(16, dtype=np.int64)
+_RIGHT = np.arange(16) >= 16 - np.arange(17)[:, None]  # row k: the last k of 16 columns
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
+_windows = np.lib.stride_tricks.sliding_window_view
+_ESCAPED = re.compile("[\udc80-\udcff]")
+
+
+def _undecodable_line(path, encoding: str) -> int:
+    """Number of the line that holds the file's first undecodable byte."""
+    with open(path, encoding=encoding, errors="surrogateescape", newline="") as fh:
+        return next((ln for ln, line in enumerate(fh, start=1) if _ESCAPED.search(line)), 0)
+
+
+def _blocks(fh, path):
+    """The file's text in pieces of about ``_BLOCK`` characters, each cut after a line end.
+
+    A CR ends a piece only when the character after it has been read, so no
+    CRLF is split.  The last piece may end without a line end.
+    """
+    carry = ""
+    while True:
+        try:
+            text = fh.read(_BLOCK)
+        except UnicodeDecodeError as e:
+            ln = _undecodable_line(path, fh.encoding)
+            raise DomainError(f"{path}:{ln}: not {fh.encoding} text ({e.reason})") from None
+        if not text:
+            break
+        text = carry + text
+        cut = max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1
+        if cut:
+            yield text[:cut]
+        carry = text[cut:]
+    if carry:
+        yield carry
+
+
+def _split(text: str):
+    """Tokenise quote-free text as csv.reader does: records end at LF, CRLF or
+    a lone CR, and fields at commas.  See ``_fields`` for what is returned."""
+    if text[-1] not in "\r\n":
+        text += "\n"
+    raw = np.frombuffer(text.encode() + _PAD, dtype=np.uint8)
+    cr, lf = raw == 13, raw == 10
+    pair = np.zeros_like(cr)  # the \r of each \r\n
+    pair[:-1] = cr[:-1] & lf[1:]
+    end = cr | lf  # where each record ends
+    end[1:] &= ~pair[:-1]
+    hi = np.flatnonzero(end | (raw == 44))  # every field ends at a comma or a record end
+    lo = np.zeros_like(hi)
+    lo[1:] = hi[:-1] + 1 + pair[hi[:-1]]
+    last = np.flatnonzero(end[hi])
+    counts = np.diff(last, prepend=-1)
+    empty = (counts == 1) & (lo[last] == hi[last])  # a blank line is a record of no fields
+    counts -= empty
+    keep = np.ones(len(hi), dtype=bool)
+    keep[last[empty]] = False
+    return raw, lo[keep], hi[keep], counts
+
+
+def _csv_fields(texts):
+    """csv.reader's records of the text pieces, batched in the form ``_fields`` returns."""
+    reader = csv.reader(line for text in texts for line in io.StringIO(text, newline=""))
+    while batch := list(itertools.islice(reader, _CSV_ROWS)):
+        parts = [field.encode() for row in batch for field in row]
+        size = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+        hi = np.cumsum(size)
+        counts = np.fromiter(map(len, batch), dtype=np.int64, count=len(batch))
+        yield np.frombuffer(b"".join(parts) + _PAD, dtype=np.uint8), hi - size, hi, counts
+
+
+def _fields(texts):
+    """``(raw, lo, hi, counts)`` per batch of records.
+
+    ``raw`` is the batch as UTF-8 bytes plus ``_PAD``, field i is
+    ``raw[lo[i]:hi[i]]`` and record j has ``counts[j]`` fields, in order.  A
+    ``"`` can quote commas and line breaks, and Python 3.10's csv.reader
+    rejects NUL, so from the first piece with either one csv.reader tokenises.
+    """
+    for text in texts:
+        if '"' in text or "\0" in text:
+            yield from _csv_fields(itertools.chain([text], texts))
+            return
+        yield _split(text)
+
+
+def _strip(raw, lo, hi):
+    """Field bounds after ``str.strip``: ASCII whitespace by vectors, the rest in Python."""
+    if ((lo < hi) & (_BLANK[raw[lo]] | _BLANK[raw[hi - 1]])).any():
+        pos = np.arange(len(raw))
+        # first non-blank byte at or after each position; one past the last non-blank before it
+        nxt = np.minimum.accumulate(np.where(_BLANK[raw], len(raw), pos)[::-1])[::-1]
+        prv = np.concatenate(([0], np.maximum.accumulate(np.where(_BLANK[raw], 0, pos + 1))))
+        lo = np.minimum(nxt[lo], hi)
+        hi = np.maximum(prv[hi], lo)
+    wide = (lo < hi) & ((raw[lo] >= 0x80) | (raw[hi - 1] >= 0x80))
+    for i in np.flatnonzero(wide).tolist():
+        field = raw[lo[i]:hi[i]].tobytes()
+        text = field.decode()
+        lo[i] += len(field) - len(text.lstrip().encode())
+        hi[i] = max(hi[i] - len(field) + len(text.rstrip().encode()), lo[i])
+    return lo, hi
+
+
+def _stamps(raw, lo, hi):
+    """``float()`` of the fields of at most 16 digits and points, NaN elsewhere.
+
+    A field with one point has at most 15 digits: an integer below 2**53 over
+    a power of ten, both exact in float64, so one division rounds it as
+    ``float()`` does.  Without a point, converting the integer is that rounding.
+    """
+    out = np.full(len(lo), math.nan)
+    size = hi - lo
+    short = np.flatnonzero(size <= 16)
+    # each short field right-aligned in 16 bytes: column 15 holds its last byte
+    c = _windows(np.concatenate((np.zeros(16, dtype=np.uint8), raw)), 16)[hi[short]]
+    inside = _RIGHT[size[short]]
+    digit = inside & (c - np.uint8(48) < 10)
+    point = inside & (c == 46)
+    n_digits, n_points = np.count_nonzero(digit, axis=1), np.count_nonzero(point, axis=1)
+    ok = (n_digits + n_points == size[short]) & (n_points <= 1) & (n_digits >= 1)
+    whole = (digit * (c - np.uint8(48))) @ _POW10[::-1]  # the point read as a 0 digit
+    frac = np.zeros(len(short), dtype=np.int64)
+    dot = np.flatnonzero(n_points == 1)
+    frac[dot] = 15 - point[dot].argmax(axis=1)
+    scale = _POW10[frac]
+    whole[dot] = whole[dot] // (10 * scale[dot]) * scale[dot] + whole[dot] % scale[dot]
+    out[short[ok]] = whole[ok] / scale[ok].astype(np.float64)
+    return out
+
+
+def _first_seen(keys):
+    """Each distinct key's first row, in key order, and each row's distinct-key index."""
+    # np.unique's stable sort for return_index is several times slower than this
+    _, inverse = np.unique(keys, return_inverse=True)
+    first = np.full(inverse.max(initial=-1) + 1, len(keys))
+    np.minimum.at(first, inverse, np.arange(len(keys)))
+    return first, inverse
+
+
+class _IdCoder:
+    """Codes one id column by first appearance.
+
+    An id under 8 bytes is keyed by one little-endian uint64 word of its
+    bytes with its length in the top byte, and these keys are sorted once
+    after the last batch.  Every row has such a word, 0 for a longer id.  A
+    longer id is looked up by its bytes in a dict, which holds each distinct
+    long id once: no key is padded, and a long id's bytes are kept once, not
+    once per row.
+    """
+
+    def __init__(self):
+        self.words: list = [np.zeros(0, dtype=np.uint64)]  # per batch: each row's word
+        self.long_ids: dict = {}  # bytes of a long id -> its index in order of first appearance
+        self.long_first: list = []  # per batch: rows where long ids first appear
+        self.long_rows: list = [np.zeros(0, dtype=np.int64)]  # per batch: rows with a long id
+        self.long_index: list = [np.zeros(0, dtype=np.int64)]  # ... and that id's index
+
+    def add(self, raw, lo, hi, first_row: int):
+        size = hi - lo
+        short = np.where(size < 8, size, 0)
+        word = _windows(raw, 8)[lo].view("<u8")[:, 0] & _LOW_BYTES[short]
+        self.words.append(word | short.astype(np.uint64) << np.uint64(56))
+        rows = np.flatnonzero(size >= 8)
+        if len(rows):
+            ids, known, data = self.long_ids, len(self.long_ids), raw.tobytes()
+            index = np.array([ids.setdefault(data[a:b], len(ids))
+                              for a, b in zip(lo[rows].tolist(), hi[rows].tolist())])
+            new = np.flatnonzero(index >= known)
+            self.long_first.append(first_row + rows[new[np.unique(index[new], return_index=True)[1]]])
+            self.long_rows.append(first_row + rows)
+            self.long_index.append(index)
+
+    def codes(self) -> np.ndarray:
+        words = np.concatenate(self.words)
+        self.words = []
+        first, inverse = _first_seen(words)
+        if len(first) and words[first[0]] == 0:
+            first[0] = len(words)  # the long ids' placeholder takes the last code, which no row keeps
+        firsts = np.concatenate([first, *self.long_first])
+        code = np.empty(len(firsts), dtype=np.int64)
+        code[np.argsort(firsts)] = np.arange(len(firsts))
+        codes = code[inverse]
+        codes[np.concatenate(self.long_rows)] = code[len(first) + np.concatenate(self.long_index)]
+        return codes
+
+
+class _LogBuilder:
+    """Checks a log's records batch by batch and keeps the rows that pass."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.line = 2  # csv.reader's record count; the header is record 1
+        self.bad: list = []
+        self.rows = 0
+        self.users, self.contents = _IdCoder(), _IdCoder()
+        self.stamps: list = []
+
+    def add(self, raw, lo, hi, counts):
+        w = self.width
+        lines = self.line + np.arange(len(counts))
+        self.line += len(counts)
+        fits = counts == w
+        bad = [(ln, f"expected {w} fields, got {k}")
+               for ln, k in zip(lines[~fits].tolist(), counts[~fits].tolist())]
+        idx = ((np.cumsum(counts) - counts)[fits, None] + np.arange(w)).ravel()
+        lo, hi = (a.reshape(-1, w) for a in _strip(raw, lo[idx], hi[idx]))
+        lines = lines[fits]
+        empty = (lo[:, :2] == hi[:, :2]).any(axis=1)
+        bad += [(ln, "empty user_id or content_id") for ln in lines[empty].tolist()]
+        lo, hi, lines = lo[~empty], hi[~empty], lines[~empty]
+        if w == 3:
+            ts = _stamps(raw, lo[:, 2], hi[:, 2])
+            ok = np.ones(len(ts), dtype=bool)
+            for i in np.flatnonzero(np.isnan(ts)).tolist():
+                text = raw[lo[i, 2]:hi[i, 2]].tobytes().decode()
+                try:
+                    ts[i] = _parse_ts(text)
+                except ValueError:
+                    ok[i] = False
+                    bad.append((int(lines[i]), f"bad timestamp {text!r}"))
+            lo, hi, ts = lo[ok], hi[ok], ts[ok]
+            self.stamps.append(ts)
+        bad.sort()
+        self.bad += bad
+        self.users.add(raw, lo[:, 0], hi[:, 0], self.rows)
+        self.contents.add(raw, lo[:, 1], hi[:, 1], self.rows)
+        self.rows += len(lo)
+
+    def records(self) -> np.ndarray:
+        users, contents = self.users.codes(), self.contents.codes()
+        records = np.empty(self.rows, dtype=LOG_DTYPE)
+        records["user"], records["content"] = users, contents
+        records["timestamp"] = np.concatenate(self.stamps) if self.stamps else math.nan
+        return records
+
+
 def load_access_log(path):
     """Read a user_id,content_id[,timestamp] CSV.
 
     Returns ``(records, bad)``: a ``LOG_DTYPE`` array, ids coded by first
     appearance, and (line_number, reason) per skipped row; parsing continues.
+    Records, fields and whitespace are read as csv.reader and ``str.strip``
+    read them.  A file that does not decode raises ``DomainError``.
     """
-    users: dict = {}
-    contents: dict = {}
-    user_codes, content_codes, stamps = array("q"), array("q"), array("d")
-    bad = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+        batches = _fields(_blocks(fh, path))
+        first = next(batches, None)
+        if first is None:
             raise DomainError("empty file: expected header user_id,content_id[,timestamp]")
-        header = [h.strip() for h in header]
+        raw, lo, hi, counts = first
+        k = int(counts[0])
+        header = [raw[a:b].tobytes().decode().strip() for a, b in zip(lo[:k], hi[:k])]
         if header not in (["user_id", "content_id"], ["user_id", "content_id", "timestamp"]):
             raise DomainError(
                 f"expected header user_id,content_id[,timestamp], got {','.join(header)}"
             )
-        width = len(header)
-        for ln, row in enumerate(reader, start=2):
-            if len(row) != width:
-                bad.append((ln, f"expected {width} fields, got {len(row)}"))
-                continue
-            user = row[0].strip()
-            content = row[1].strip()
-            if not user or not content:
-                bad.append((ln, "empty user_id or content_id"))
-                continue
-            ts = math.nan
-            if width == 3:
-                try:
-                    ts = _parse_ts(row[2].strip())
-                except ValueError:
-                    bad.append((ln, f"bad timestamp {row[2].strip()!r}"))
-                    continue
-            user_codes.append(users.setdefault(user, len(users)))
-            content_codes.append(contents.setdefault(content, len(contents)))
-            stamps.append(ts)
-    records = np.empty(len(stamps), dtype=LOG_DTYPE)
-    records["user"], records["content"], records["timestamp"] = user_codes, content_codes, stamps
-    return records, bad
+        log = _LogBuilder(len(header))
+        log.add(raw, lo[k:], hi[k:], counts[1:])
+        for batch in batches:
+            log.add(*batch)
+    return log.records(), log.bad
 
 
 def write_empirical_csv(emp: EmpiricalPopularity, fh):

@@ -12,11 +12,13 @@ import bisect
 import csv
 import io
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from d2dcache.errors import DomainError
+from d2dcache.fitting import LOG_DTYPE, _parse_ts
 from d2dcache.policy import _exponent_denom
 from d2dcache.simulator import Realization
 
@@ -153,6 +155,48 @@ def hashmap_dedupe(pairs):
     )
     counts = [len(us) for _, us in items]
     return counts, len(all_users)
+
+
+def csv_reader_log(path):
+    """``load_access_log`` as one ``csv.reader`` loop, coding ids through dicts."""
+    users: dict = {}
+    contents: dict = {}
+    user_codes, content_codes, stamps = array("q"), array("q"), array("d")
+    bad = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DomainError("empty file: expected header user_id,content_id[,timestamp]")
+        header = [h.strip() for h in header]
+        if header not in (["user_id", "content_id"], ["user_id", "content_id", "timestamp"]):
+            raise DomainError(
+                f"expected header user_id,content_id[,timestamp], got {','.join(header)}"
+            )
+        width = len(header)
+        for ln, row in enumerate(reader, start=2):
+            if len(row) != width:
+                bad.append((ln, f"expected {width} fields, got {len(row)}"))
+                continue
+            user = row[0].strip()
+            content = row[1].strip()
+            if not user or not content:
+                bad.append((ln, "empty user_id or content_id"))
+                continue
+            ts = math.nan
+            if width == 3:
+                try:
+                    ts = _parse_ts(row[2].strip())
+                except ValueError:
+                    bad.append((ln, f"bad timestamp {row[2].strip()!r}"))
+                    continue
+            user_codes.append(users.setdefault(user, len(users)))
+            content_codes.append(contents.setdefault(content, len(contents)))
+            stamps.append(ts)
+    records = np.empty(len(stamps), dtype=LOG_DTYPE)
+    records["user"], records["content"], records["timestamp"] = user_codes, content_codes, stamps
+    return records, bad
 
 
 def kl_natural(p_data, p_model):

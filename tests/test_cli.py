@@ -1,5 +1,6 @@
 """End-to-end CLI tests driven through main(argv)."""
 
+import codecs
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from d2dcache import cli
 from d2dcache.cli import main
-from d2dcache.fitting import synthetic_records
+from d2dcache.fitting import dedupe_accesses, load_access_log, synthetic_records
 from d2dcache.asymptotics import RegimeParams
 from d2dcache.policy import hit_probability, waterfill
 from d2dcache.popularity import MZipfDist
@@ -154,6 +155,31 @@ class TestFit:
         assert text[0].startswith("# d2dcache ")
         assert text[1] == "rank,count,probability"
         assert text[2].startswith("1,2,")
+
+    def test_export_empirical_round_trips(self, tmp_path):
+        dist = MZipfDist(1.1, 5.0, 300)
+        log = write_log(tmp_path / "log.csv",
+                        synthetic_records(dist, 2000, 3, np.random.default_rng(4)))
+        rc = main(["fit", "--log", log, "--coarse-steps", "2", "--refine-rounds", "0",
+                   "--export-empirical", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        emp = dedupe_accesses(load_access_log(log)[0])
+        _, cols, rows = read_table(tmp_path / "o" / "empirical.csv")
+        assert cols == ["rank", "count", "probability"]
+        assert [int(r["rank"]) for r in rows] == list(range(1, len(emp.counts) + 1))
+        assert [int(r["count"]) for r in rows] == emp.counts.tolist()
+        assert [float(r["probability"]) for r in rows] == (emp.counts / emp.total).tolist()
+
+    def test_undecodable_log_is_domain_error(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_bytes(b"user_id,content_id\nu1,c1\nu1,c\xff1\nu2,c1\n")
+        with open(log) as fh:
+            encoding = fh.encoding
+        if codecs.lookup(encoding).name != "utf-8":
+            pytest.skip("0xff decodes in this locale's encoding")
+        rc = main(["fit", "--log", str(log), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"error: {log}:3: not {encoding} text" in capsys.readouterr().err
 
     def test_since_until_filters_on_timestamp(self, tmp_path, capsys):
         log = tmp_path / "log.csv"

@@ -2,9 +2,15 @@
 
 import io
 import math
+import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2dcache import fitting
 from d2dcache.errors import DomainError
@@ -22,7 +28,7 @@ from d2dcache.fitting import (
 )
 from d2dcache.popularity import MZipfDist
 
-from oracles import hashmap_dedupe, streamed_partial_sum
+from oracles import csv_reader_log, hashmap_dedupe, streamed_partial_sum
 
 
 def rec(*rows):
@@ -34,6 +40,44 @@ def rec(*rows):
           ts[0] if ts else math.nan) for u, c, *ts in rows],
         dtype=LOG_DTYPE,
     )
+
+
+# pieces of access-log text: str.strip's whitespace (ASCII and wider), ids,
+# timestamps, and characters that split or quote fields and records
+_BLANKS = ["\t", " ", "\x0b", "\x1c", "\xa0", "\u3000"]
+_WORDS = ["", "u1", "u2", "c7", "é", "abcdefgh", "1e9", "1_000", "inf", "nan", "1700000000",
+          "12.5", "2024-06-01T12:00:00", "garbage"]
+_BREAKERS = [",", "\n", "\r", "\r\n", '"', "\x00"]
+
+
+@st.composite
+def access_logs(draw):
+    """Text of a log of either header width; rows of any field count, any line ends.
+
+    Half the logs have no quote and no NUL, which hand a file to csv.reader.
+    """
+    breakers = _BREAKERS if draw(st.booleans()) else _BREAKERS[:-2]
+    blank = st.sampled_from(["", *_BLANKS, *breakers[5:]])  # NUL pads ids too
+    clean = st.tuples(blank, st.sampled_from(_WORDS), blank).map("".join)
+    noisy = st.lists(st.sampled_from(_BLANKS + _WORDS + breakers), max_size=3).map("".join)
+    field = st.integers(0, 9).flatmap(lambda k: noisy if k == 9 else clean)
+    width = draw(st.sampled_from([2, 3]))
+    row = st.integers(0, 5).flatmap(lambda k: st.lists(field, max_size=4) if k == 5 else
+                                    st.lists(field, min_size=width, max_size=width))
+    line_end = st.sampled_from(["\n", "\r", "\r\n"])
+    text = ",".join(["user_id", "content_id", "timestamp"][:width])
+    for fields in draw(st.lists(row, max_size=12)):
+        text += draw(line_end) + ",".join(fields)
+    return text + draw(st.sampled_from(["", "\n", "\r", "\r\n"]))
+
+
+def load_outcome(load, path):
+    """``(records bytes, bad)`` of a loader, or the type of what it raised."""
+    try:
+        records, bad = load(path)
+    except Exception as e:
+        return type(e)
+    return records.tobytes(), bad
 
 
 class TestDedupe:
@@ -291,6 +335,61 @@ class TestIO:
         (tmp_path / "empty.csv").write_text("")
         with pytest.raises(DomainError, match="empty file"):
             load_access_log(tmp_path / "empty.csv")
+
+    @pytest.mark.parametrize("block", [5, 64])
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=access_logs())
+    def test_matches_csv_reader_oracle(self, block, text):
+        """Records, warnings and errors equal csv.reader's loop, with blocks
+        so short that records and CRLF pairs straddle them."""
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "log.csv"
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            want = load_outcome(csv_reader_log, path)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fitting, "_BLOCK", block)
+                got = load_outcome(load_access_log, path)
+        assert got == want
+
+    def test_timestamps_read_as_float_reads_them(self, tmp_path):
+        # with a point, 16 digits make an inexact integer, which one division rounds again
+        stamps = ["0", "007", "5.", ".5", "0.1", "123456789012345", "12345678901234.5",
+                  ".123456789012345", "9007199254740993", "96.48064786969077",
+                  "943.4607133838363", "91128735.31840813", "96727784342264.81", "-1.5", "1e3"]
+        path = tmp_path / "log.csv"
+        path.write_text("user_id,content_id,timestamp\n" + "".join(f"u,c,{t}\n" for t in stamps))
+        records, bad = load_access_log(path)
+        assert not bad
+        assert records["timestamp"].tolist() == [float(t) for t in stamps]
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="csv rejects NUL before 3.11")
+    def test_ids_apart_by_length_and_nul(self, tmp_path):
+        # NUL hands the file to csv.reader, which keeps it in the ids
+        ids = ["a", "a\0", "a\0\0", "abcdefgh", "abcdefgh\0", "abcdefg", "\0" * 8, "\0" * 9,
+               "x" * 20, "x" * 19 + "\0", "a"]
+        path = tmp_path / "log.csv"
+        path.write_text("user_id,content_id\n" + "".join(f"{u},c\n" for u in ids))
+        records, bad = load_access_log(path)
+        assert not bad
+        assert records["user"].tolist() == [*range(len(ids) - 1), 0]
+
+    def test_memory_not_sized_by_longest_id(self, tmp_path):
+        rows = 10**5
+        body = [f"u{i % 5000},c{i % 700},{1_700_000_000 + i}\n" for i in range(rows)]
+        body[rows // 2] = "x" * 10**5 + ",c1,1\n"
+        path = tmp_path / "log.csv"
+        path.write_text("user_id,content_id,timestamp\n" + "".join(body))
+        tracemalloc.start()
+        try:
+            records, bad = load_access_log(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == rows and not bad
+        assert records["user"][rows // 2] == 5000  # a new user, after u0..u4999
+        # 1.7x at the time of writing; one key per row as wide as the long id would take 10 GB
+        assert peak < 3 * (path.stat().st_size + rows * LOG_DTYPE.itemsize)
 
     def test_empirical_csv_roundtrip(self):
         emp = dedupe_accesses(rec(("u1", "a"), ("u2", "a"), ("u1", "b")))
