@@ -82,12 +82,20 @@ def dedupe_accesses(records) -> EmpiricalPopularity:
     so a time window or subsample leaves no content or user with no request.
     Tied contents have equal counts, so the ranking does not depend on row order.
     """
-    users, u = np.unique(records["user"], return_inverse=True)
-    contents, c = np.unique(records["content"], return_inverse=True)
+    (u, n_users), (c, n_contents) = (_dense_codes(records[f]) for f in ("user", "content"))
     # asking for counts keeps np.unique on its sort path, far faster here than its hash path
-    uniq = np.unique(u * len(contents) + c, return_counts=True)[0]
-    counts = np.bincount(uniq % len(contents), minlength=len(contents))
-    return EmpiricalPopularity(np.sort(counts)[::-1], int(uniq.size), len(users))
+    uniq = np.unique(u * n_contents + c, return_counts=True)[0]
+    counts = np.bincount(uniq % n_contents, minlength=n_contents)
+    return EmpiricalPopularity(np.sort(counts)[::-1], int(uniq.size), n_users)
+
+
+def _dense_codes(ids: np.ndarray) -> tuple[np.ndarray, int]:
+    """Codes ``0..k-1`` of ``ids`` and ``k``; kept after an O(n) check if already so coded."""
+    k = int(ids.max()) + 1 if ids.size else 0
+    if 0 < k <= ids.size and ids.min() >= 0 and np.bincount(ids, minlength=k).all():
+        return ids.astype(np.intp), k
+    uniq, codes = np.unique(ids, return_inverse=True)
+    return codes, len(uniq)
 
 
 def kl_divergence(data_probs, model_probs) -> float:

@@ -95,19 +95,20 @@ def partial_sum(gamma: float, q: float, a: int, b: int) -> float:
 
 
 def _guide_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inversion table ``(edges, guide)`` for :func:`_invert` over ranks ``1..m``.
+    """Inversion table ``(edges, guide)`` for :func:`_invert` over ranks ``1..L``.
 
     ``edges[r]`` is the cdf at rank ``r``: ``edges[0] = 0`` and the top
-    entry is forced to 1.0 against rounding.  With ``K = m`` buckets (Chen
-    & Asau, 1974), ``guide[b]`` is one more than the number of cdf values
-    ``c`` with ``fl(c*K) < b``: the lowest rank a uniform in bucket ``b``
-    can map to.  O(m log m) to build.
+    entry is forced to 1.0 against rounding.  With ``K = max(L, min(4L,
+    2**22))`` buckets (Chen & Asau, 1974), ``guide[b]`` is one more than the
+    number of cdf values ``c`` with ``fl(c*K) < b``: the lowest rank a
+    uniform in bucket ``b`` can map to.  A search from there takes about
+    ``1 + L/K`` steps (Devroye, 1986, III.2.4).  O(K log L) to build.
     """
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
-    m = len(cdf)
+    k = max(len(cdf), min(4 * len(cdf), 1 << 22))
     edges = np.concatenate(([0.0], cdf))
-    guide = np.searchsorted(cdf * m, np.arange(m + 1), side="left") + 1
+    guide = np.searchsorted(cdf * k, np.arange(k + 1), side="left") + 1
     return edges, guide
 
 
@@ -205,6 +206,7 @@ class MZipfDist:
         norm = math.fsum(float(np.sum(self._weights(i, min(i + _CHUNK, self.m))))
                          for i in range(0, self.m, _CHUNK))
         object.__setattr__(self, "normalizer", norm)
+        object.__setattr__(self, "_tables", {})  # m_star -> _request_table(m_star)
 
     def _weights(self, lo: int, hi: int) -> np.ndarray:
         """``(f + q)**(-gamma)`` for ranks ``f = lo+1..hi``."""
@@ -228,10 +230,15 @@ class MZipfDist:
         probs.flags.writeable = False
         return probs
 
-    @cached_property
-    def _table(self) -> tuple[np.ndarray, np.ndarray]:
-        # built on the first draw: analysis and fitting never pay for it
-        return _guide_table(self.probs)
+    def _request_table(self, m_star: int) -> tuple[np.ndarray, np.ndarray]:
+        """Inversion table over ranks ``1..m_star`` plus one bucket for all later ranks
+        (over ``1..m`` at ``m_star = m``), built on first use.  ``cumsum`` is sequential, so
+        a uniform gets the full table's rank wherever that is ``<= m_star``."""
+        if m_star not in self._tables:
+            # the top edge is forced to 1.0, so the mass appended past m_star is never read
+            probs = self.probs if m_star == self.m else np.append(self.head(m_star), 0.0)
+            self._tables.setdefault(m_star, _guide_table(probs))
+        return self._tables[m_star]
 
     def pmf(self, f):
         """Probability of rank ``f`` (scalar or array of ints in ``1..m``)."""
@@ -246,16 +253,15 @@ class MZipfDist:
 
         Returns a python int when ``size`` is None, else an int64 array of
         the requested shape.  The first draw builds the cdf and its guide
-        table, O(m) memory; after that a draw costs O(1) expected time.
-        Draws are chunked so very large requests stay within a flat memory
-        budget.
+        table, O(m) memory; after that a draw costs O(1) expected time, in
+        chunks that keep very large requests in flat memory.
         """
         if size is None:
-            return int(_invert(self._table, np.array([rng.random()]))[0])
+            return int(_invert(self._request_table(self.m), np.array([rng.random()]))[0])
         shape = (size,) if np.isscalar(size) else tuple(size)
         n = int(np.prod(shape))
         out = np.empty(n, dtype=np.int64)
         for lo in range(0, n, _CHUNK):
             hi = min(lo + _CHUNK, n)
-            out[lo:hi] = _invert(self._table, rng.random(hi - lo))
+            out[lo:hi] = _invert(self._request_table(self.m), rng.random(hi - lo))
         return out.reshape(shape)

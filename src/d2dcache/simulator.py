@@ -15,11 +15,11 @@ The per-realization accounting identity
 is verified on every realization; a violation raises InvariantError since
 it can only come from a bookkeeping bug.
 
-Who holds what is counted in a table with one row per cluster and one
-column per rank up to the largest rank cached in the realization.  The
-placement draws from the support ``1..m_star`` of the water-filling
-policy, so the table has at most ``n_clusters * (m_star + 1)`` entries
-whatever the library size ``m``.
+Draws invert a cdf through ``max(L, min(4L, 2**22))`` guide buckets for ``L``
+ranks: caches over the policy's support ``1..m_star``, requests over ``1..m_star``
+plus one bucket for all later ranks.  A table with a row per cluster and a column
+per rank up to the largest cached one counts who holds what; its empty column 0
+takes every later request.  Memory is O(n*s + n_clusters*m_star) whatever ``m``.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class NetworkConfig:
 @dataclass(frozen=True)
 class Realization:
     caches: np.ndarray  # (n, s) cached file per slot
-    requests: np.ndarray  # (n,)
+    requests: np.ndarray  # (n,) requested rank, 0 when no cache in the network holds it
     linked: np.ndarray  # (n,) bool, request held by another cluster member
     self_hit: np.ndarray  # (n,) bool, request in own cache
     served: np.ndarray  # (n,) bool
@@ -120,20 +120,21 @@ def realize(config: NetworkConfig, dist, policy: CachingPolicy,
     n = config.n
     clusters = config._clusters
     caches = _invert(policy._table, rng.random((n, config.s)))
-    requests = np.asarray(dist.sample(rng, n), dtype=np.int64)
+    requests = _invert(dist._request_table(policy.m_star), rng.random(n))
 
     # one column per rank up to the largest cached one; ranks start at 1, so
     # column 0 stays empty and takes the requests no cache in the network holds
     width = int(caches.max()) + 1
+    np.putmask(requests, requests >= width, 0)
     slot_keys = (clusters[:, None] * width + caches).ravel()
     held = np.bincount(slot_keys, minlength=config.n_clusters * width)
-    req_keys = clusters * width + np.where(requests < width, requests, 0)
     own_slots = np.count_nonzero(caches == requests[:, None], axis=1)
-    linked = held[req_keys] - own_slots >= 1
+    linked = held[clusters * width + requests] - own_slots >= 1
     self_hit = own_slots >= 1
     served = (linked | self_hit) if config.include_self_cache else linked
 
-    potential_links = np.bincount(clusters[linked], minlength=config.n_clusters)
+    potential_links = np.bincount(clusters, weights=linked,
+                                  minlength=config.n_clusters).astype(np.int64)
     return Realization(
         caches=caches,
         requests=requests,
@@ -148,13 +149,9 @@ def realize(config: NetworkConfig, dist, policy: CachingPolicy,
 def per_user_throughput(config: NetworkConfig, real: Realization) -> np.ndarray:
     """Rate each user receives: the cluster link is split round-robin
     among its linked users; self-hits consume no airtime."""
-    clusters = config._clusters
-    out = np.zeros(config.n)
-    share = np.zeros(config.n_clusters)
-    active = real.potential_links > 0
-    share[active] = config.c_rate / (config.k * real.potential_links[active])
-    out[real.linked] = share[clusters[real.linked]]
-    return out
+    # a cluster without linked users has no share to give: any divisor will do
+    share = config.c_rate / (config.k * np.maximum(real.potential_links, 1))
+    return np.where(real.linked, share[config._clusters], 0.0)
 
 
 def throughput_accounting(config: NetworkConfig, real: Realization):

@@ -127,6 +127,29 @@ class TestDedupe:
         assert emp.distinct_users == 10
         assert emp.counts.max() <= 10
 
+    def test_gapped_codes_count_as_their_dense_recoding(self):
+        # a time window keeps the codes of the full log, so some are missing
+        rng = np.random.default_rng(4)
+        records = synthetic_records(MZipfDist(0.8, 5.0, 400), 2000, 3, rng)
+        records["content"] -= 1
+        records["timestamp"] = rng.random(len(records))
+        windowed = records[records["timestamp"] < 0.3]
+        assert windowed["user"].max() + 1 > len(np.unique(windowed["user"]))
+        dense = windowed.copy()
+        for col in ("user", "content"):
+            dense[col] = np.unique(dense[col], return_inverse=True)[1]
+        emp, want = dedupe_accesses(windowed), dedupe_accesses(dense)
+        assert emp.counts.tobytes() == want.counts.tobytes()
+        assert (emp.total, emp.distinct_users) == (want.total, want.distinct_users)
+        assert dedupe_accesses(records).distinct_users == 2000
+
+    def test_dense_codes_pair_key_does_not_overflow(self):
+        # 7e4 users by 7e4 contents: the (user, content) key passes 2**32
+        records = np.zeros(70_000, dtype=LOG_DTYPE)
+        records["user"] = records["content"] = np.arange(70_000, dtype=np.int32)
+        emp = dedupe_accesses(records)
+        assert (emp.total, emp.distinct_users, emp.counts.max()) == (70_000, 70_000, 1)
+
     def test_validation(self):
         with pytest.raises(DomainError, match="non-increasing"):
             EmpiricalPopularity(np.array([1, 2]), 3, 2)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from d2dcache import DomainError, MZipfDist, partial_sum, partial_sum_bounds
@@ -277,6 +277,36 @@ def test_sample_matches_bisection_of_the_same_stream(m):
 def test_guide_table_inversion_property(weights, u):
     probs = np.array(weights) / math.fsum(weights)
     cdf = placement_cdf(probs)
-    u = np.concatenate([np.array(u, dtype=np.float64), cdf, np.nextafter(cdf, 0.0)])
+    table = _guide_table(probs)
+    # the guide's bucket edges b/K, K = len(guide) - 1, are where a start can overshoot
+    buckets = np.arange(len(table[1])) / (len(table[1]) - 1)
+    u = np.concatenate([np.array(u, dtype=np.float64), cdf, np.nextafter(cdf, 0.0),
+                        buckets, np.nextafter(buckets, 0.0), np.nextafter(buckets, 1.0)])
     u = u[(u >= 0.0) & (u < 1.0)]
-    np.testing.assert_array_equal(_invert(_guide_table(probs), u), bisect_ranks(cdf, u))
+    np.testing.assert_array_equal(_invert(table, u), bisect_ranks(cdf, u))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # gamma up to 300 makes masses underflow to 0; q up to 1e17 rounds j + q
+    # to ties
+    gamma=st.one_of(st.floats(0.05, 3.0), st.floats(3.0, 300.0)),
+    q=st.one_of(st.just(0.0), st.floats(0.0, 100.0), st.floats(1e15, 1e17)),
+    m=st.integers(1, 300),
+    data=st.data(),
+)
+def test_request_table_draws_the_full_tables_support_ranks(gamma, q, m, data):
+    d = MZipfDist(gamma, q, m)
+    assume(d.normalizer > 0.0)  # (1 + q)**-gamma can underflow
+    m_star = data.draw(st.sampled_from([1, max(m - 1, 1), m]) | st.integers(1, m))
+    table, full_table = d._request_table(m_star), _guide_table(d.probs)
+    points = np.concatenate([table[0], full_table[0], *(
+        np.arange(len(t[1])) / (len(t[1]) - 1) for t in (table, full_table))])
+    u = np.concatenate([
+        np.random.default_rng(m).random(2000),
+        points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+    ])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    full = _invert(full_table, u)
+    np.testing.assert_array_equal(_invert(table, u), np.where(full <= m_star, full, m_star + 1))
+    assert d._request_table(m_star) is table
