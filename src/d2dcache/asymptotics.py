@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, RegimeError
 from .policy import _exponent_denom, solve_cutoff_constant
+from .popularity import _power_integral
 
 __all__ = [
     "RegimeParams",
@@ -163,6 +164,19 @@ class TradeoffPoint:
     notes: tuple = ()
 
 
+def _tilted_integral(gamma: float, lo: float, w: float) -> float:
+    """``I(lo, w) - w*(lo+w)**(-gamma)``, where ``I(x, w) = integral_x^(x+w) t**(-gamma) dt``:
+    the bracket ``(lo+w)**(-gamma) * (gamma*w + lo) - lo**(1-gamma)`` over ``1 - gamma``."""
+    return _power_integral(gamma, lo, w) - w * (lo + w) ** (-gamma)
+
+
+def _library_integral(p: RegimeParams) -> float:
+    """``I(q+1, m-1)``, the denominator of the closed form and of r2."""
+    if p.m < 2:
+        raise RegimeError("ranks 1..m span an empty range at m = 1; no closed form applies")
+    return _power_integral(p.gamma, p.q + 1.0, p.m - 1)
+
+
 def hit_rate_closed_form(p: RegimeParams) -> ClampedValue:
     """Large-cluster approximation of the optimal hit rate.
 
@@ -172,23 +186,21 @@ def hit_rate_closed_form(p: RegimeParams) -> ClampedValue:
         [(x+q)^(1-g) - (1-g)*(x+q)^(-g)*x - (q+1)^(1-g)]
         / [(m+q)^(1-g) - (q+1)^(1-g)]
 
-    with ``g = gamma``, clamped to [0, 1] with a flag.  Singular at
-    ``gamma = 1``; for ``g_c`` past the saturation point use
-    ``hit_rate_floor`` instead.
+    with ``g = gamma``, clamped to [0, 1] with a flag.  Both brackets are
+    divided through by ``1 - g`` and taken as integrals of ``t^(-g)``,
+    ``I(q+1, x-1) - x*(x+q)^(-g)`` over ``I(q+1, m-1)``, so the form is
+    continuous through ``gamma = 1``, where it takes its log limit.  At
+    ``m = 1`` or for ``g_c`` past the saturation point it raises
+    ``RegimeError``; use ``hit_rate_floor`` past saturation.
     """
-    if p.gamma == 1.0:
-        raise DomainError("closed form is singular at gamma = 1; use the exact sum")
-    c1 = p.c1
     if p.g_c >= p.saturation_g_c:
         raise RegimeError(
             f"g_c = {p.g_c} >= saturation {p.saturation_g_c:.6g}; placement support "
             "covers the whole library, use hit_rate_floor"
         )
-    x = c1 * p.s * p.g_c / p.gamma
-    og = 1.0 - p.gamma
-    num = (x + p.q) ** og - og * (x + p.q) ** (-p.gamma) * x - (p.q + 1.0) ** og
-    den = (p.m + p.q) ** og - (p.q + 1.0) ** og
-    return _clamp01(num / den)
+    x = p.c1 * p.s * p.g_c / p.gamma
+    num = _power_integral(p.gamma, p.q + 1.0, x - 1.0) - x * (x + p.q) ** (-p.gamma)
+    return _clamp01(num / _library_integral(p))
 
 
 def hit_rate_floor(p: RegimeParams, rho: float) -> ClampedValue:
@@ -201,7 +213,10 @@ def hit_rate_floor(p: RegimeParams, rho: float) -> ClampedValue:
                * [(1+d)^(gamma/phi+1) - d^(gamma/phi+1)]^phi)
 
     with ``d = q/m``.  The caller is responsible for passing a ``rho``
-    consistent with ``p.g_c`` (``p.rho`` is the matching value).
+    consistent with ``p.g_c`` (``p.rho`` is the matching value).  The
+    first bracket over ``1 - gamma`` is taken as ``I(d, 1)``, the integral
+    of ``t^(-gamma)`` over ``[d, 1 + d]``, so it keeps full precision as
+    ``gamma`` nears 1 and reads ``1/(1-gamma)`` at ``q = 0``.
     """
     if p.gamma >= 1.0:
         raise RegimeError(
@@ -209,13 +224,10 @@ def hit_rate_floor(p: RegimeParams, rho: float) -> ClampedValue:
         )
     if rho < p.gamma:
         raise DomainError(f"rho must be >= gamma, got rho={rho} < {p.gamma}")
-    c1 = p.c1
     d = p.d
-    og = 1.0 - p.gamma
-    br1 = (1.0 + d) ** og - d**og
     e2 = p.gamma / p.phi + 1.0
     br2 = (1.0 + d) ** e2 - d**e2
-    val = 1.0 - og * math.exp(-(rho / c1 - p.gamma)) / (br1 * br2**p.phi)
+    val = 1.0 - math.exp(-(rho / p.c1 - p.gamma)) / (_power_integral(p.gamma, d, 1.0) * br2**p.phi)
     return _clamp01(val)
 
 
@@ -258,10 +270,8 @@ def tradeoff_small_gamma(p: RegimeParams, regime: str, knob=None) -> TradeoffPoi
         if c3 <= 0:
             raise DomainError(f"c3 must be > 0, got {c3}")
         ma = p.m**p.alpha
-        b = (p.s * c1 * c3 / p.gamma + p.c4) ** (-p.gamma) * (
-            p.s * c1 * c3 + p.c4
-        ) - p.c4 ** (1.0 - p.gamma)
-        t = ck * (1.0 / (c3 * ma)) * (1.0 - math.exp(-(c3 / 2.0) * b))
+        b = (1.0 - p.gamma) * _tilted_integral(p.gamma, p.c4, p.s * c1 * c3 / p.gamma)
+        t = ck * (1.0 / (c3 * ma)) * -math.expm1(-(c3 / 2.0) * b)
         po = _clamp01(1.0 - b / ma)
         if t < 0.0:
             t = 0.0
@@ -278,11 +288,8 @@ def tradeoff_small_gamma(p: RegimeParams, regime: str, knob=None) -> TradeoffPoi
         g = int(p.g_c if knob is None else knob)
         if g < 2:
             raise DomainError(f"g_c must be >= 2, got {g}")
-        c5 = p.q / g
-        og = 1.0 - p.gamma
-        den = (p.m + c5 * g) ** og - (c5 * g + 1.0) ** og
-        bracket = (p.s * c1 / p.gamma + c5) ** (-p.gamma) * (p.s * c1 + c5) - c5**og
-        po = _clamp01(1.0 - g**og / den * bracket)
+        bracket = _tilted_integral(p.gamma, p.q / g, p.s * c1 / p.gamma)
+        po = _clamp01(1.0 - g ** (1.0 - p.gamma) * bracket / _library_integral(p))
         return TradeoffPoint(
             g_c=g,
             outage=po.value,
@@ -378,7 +385,8 @@ def classify_regime(p: RegimeParams) -> Classification:
         )
         return Classification(label=label, warnings=warnings, proxies=proxies)
     if p.gamma == 1.0:
-        warnings += ("closed forms are singular at gamma = 1; use exact sums",)
+        warnings += ("no tradeoff form is defined at gamma = 1; the hit-rate closed form "
+                     "and the exact sums still apply",)
         return Classification(label="boundary_gamma_one", warnings=warnings, proxies=proxies)
     proxies["alpha_scale"] = p.m**p.alpha
     proxies["c3"] = p.c3
@@ -406,31 +414,16 @@ def theory_points(p: RegimeParams) -> list[TradeoffPoint]:
     """
     ck = p.c_rate / p.k
     pts: list[TradeoffPoint] = []
-    try:
-        v = hit_rate_closed_form(p)
-        pts.append(
-            TradeoffPoint(
-                g_c=p.g_c,
-                outage=1.0 - v.value,
-                throughput=ck / p.g_c,
-                source="closed_form",
-                clamped=v.clamped,
-            )
-        )
-    except (RegimeError, DomainError):
+    # the closed form, or past saturation (or at m = 1) the floor, if either applies
+    for source, rate in (("closed_form", hit_rate_closed_form),
+                         ("lower_bound", lambda p: hit_rate_floor(p, p.rho))):
         try:
-            fl = hit_rate_floor(p, p.rho)
-            pts.append(
-                TradeoffPoint(
-                    g_c=p.g_c,
-                    outage=1.0 - fl.value,
-                    throughput=ck / p.g_c,
-                    source="lower_bound",
-                    clamped=fl.clamped,
-                )
-            )
+            v = rate(p)
         except (RegimeError, DomainError):
-            pass
+            continue
+        pts.append(TradeoffPoint(g_c=p.g_c, outage=1.0 - v.value, throughput=ck / p.g_c,
+                                 source=source, clamped=v.clamped))
+        break
     cls = classify_regime(p)
     try:
         if cls.label in ("r1", "r2", "r3"):

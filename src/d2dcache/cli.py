@@ -373,7 +373,7 @@ def cmd_simulate(args) -> int:
     trials = args.trials if args.trials is not None else scn.get("trials", 100)
     policy = waterfill(dist, cfg.s, cfg.g_c)
     res = monte_carlo(cfg, dist, policy, trials, seed)
-    exact_outage = curve_points(cfg, dist, policy)[0].outage
+    exact_outage = 1.0 - _served_probability(cfg, dist, policy)
     scn_hash = _scenario_hash(
         {"command": "simulate", **scn, "trials": trials, "seed": seed}
     )

@@ -50,7 +50,10 @@ def _head_terms(gamma: float, q: float, a: int, b: int) -> int:
 
 def _power_integral(gamma: float, x: float, width: float) -> float:
     """``integral_x^(x+width) t**(-gamma) dt``, continuous through ``gamma = 1``;
-    anchored at the larger power, so that ``expm1`` gets an argument <= 0."""
+    anchored at the larger power, so that ``expm1`` gets an argument <= 0.
+    From ``x = 0`` (finite only for ``gamma < 1``) it is ``width**(1-gamma)/(1-gamma)``."""
+    if not x:
+        return width ** (1.0 - gamma) / (1.0 - gamma)
     t = -abs(1.0 - gamma)
     log_ratio = math.log1p(width / x)
     anchor = x + width if gamma < 1 else x
@@ -205,6 +208,9 @@ class MZipfDist:
         # one _CHUNK of weights at a time: the memory is flat in m
         norm = math.fsum(float(np.sum(self._weights(i, min(i + _CHUNK, self.m))))
                          for i in range(0, self.m, _CHUNK))
+        if not norm > 0:
+            raise DomainError(f"gamma = {self.gamma} and q = {self.q} underflow every "
+                              "weight (f + q)**-gamma to 0")
         object.__setattr__(self, "normalizer", norm)
         object.__setattr__(self, "_tables", {})  # m_star -> _request_table(m_star)
 

@@ -312,3 +312,45 @@ def pga_optimal_placement(pop, exponent, iters=20000, n_starts=20, seed=0, tol=1
         if val > best_val:
             best_val, best_x = val, x
     return best_x, best_val
+
+
+def mpmath_closed_forms(gamma, q, m, s, g_c, c1, dps=60):
+    """The paper's raw closed forms at ``dps`` digits, each a power difference over ``1 - gamma``.
+
+    Returns ``{"closed_form", "floor", "r1_outage", "r1_throughput", "r2_outage"}``
+    (hit rates for the first two, outages below them; throughput in units of
+    ``c_rate/k``), all unclamped, with ``rho`` and ``c3`` at ``g_c``; ``c1`` is
+    the float cutoff constant the package solved for.
+    At ``gamma = 1`` each form is 0/0 and the limit is taken as the value at
+    ``gamma = 1 + 10**-(dps/2)``, which leaves about ``dps/2`` correct digits.
+    Forms that need ``gamma < 1`` (floor, r1, r2) are left out otherwise.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        g = mpmath.mpf(gamma)
+        if g == 1:
+            g += mpmath.mpf(10) ** (-(dps // 2))
+        q, m, s, g_c, c1 = (mpmath.mpf(v) for v in (q, m, s, g_c, c1))
+        og = 1 - g
+        x = c1 * s * g_c / g
+        den = (m + q) ** og - (q + 1) ** og
+        out = {"closed_form": ((x + q) ** og - og * (x + q) ** (-g) * x - (q + 1) ** og) / den}
+        if gamma < 1:
+            phi = s * (g_c - 1) - 1
+            d = q / m
+            rho = c1 * s * g_c / m
+            e2 = g / phi + 1
+            br1 = (1 + d) ** og - d**og
+            br2 = (1 + d) ** e2 - d**e2
+            out["floor"] = 1 - og * mpmath.exp(-(rho / c1 - g)) / (br1 * br2**phi)
+            ma = m ** (og / (2 - g))
+            c3 = g_c / ma
+            c4 = q / ma
+            b = (s * c1 * c3 / g + c4) ** (-g) * (s * c1 * c3 + c4) - c4**og
+            out["r1_outage"] = 1 - b / ma
+            out["r1_throughput"] = (1 - mpmath.exp(-(c3 / 2) * b)) / (c3 * ma)
+            c5 = q / g_c
+            bracket = (s * c1 / g + c5) ** (-g) * (s * c1 + c5) - c5**og
+            out["r2_outage"] = 1 - g_c**og / den * bracket
+        return {k: float(v) for k, v in out.items()}

@@ -1,10 +1,14 @@
 """Tests for the closed-form performance laws.
 
-High precision checks re-evaluate each formula with mpmath at 50 digits;
-accuracy checks compare against the exact finite sums from the policy
-module.  The saturated-regime floor is asymptotic, so it is tested for
-convergence toward the exact optimum rather than a pointwise inequality.
+High precision checks re-evaluate each formula in its raw form with
+mpmath at 60 digits (``oracles.mpmath_closed_forms``), also within 1e-12
+of ``gamma = 1`` and at the limit itself; accuracy checks compare against
+the exact finite sums from the policy module.  The saturated-regime floor
+is asymptotic, so it is tested for convergence toward the exact optimum
+rather than a pointwise inequality.
 """
+
+import math
 
 import mpmath
 import pytest
@@ -22,31 +26,56 @@ from d2dcache.errors import DomainError, RegimeError
 from d2dcache.policy import hit_probability, waterfill
 from d2dcache.popularity import MZipfDist
 
+from oracles import mpmath_closed_forms
+
 
 def exact_hit(gamma, q, m, s, g_c):
     d = MZipfDist(gamma, q, m)
     return hit_probability(d, waterfill(d, s, g_c), s, g_c)
 
 
-def mp_closed_form(gamma, q, m, x):
-    with mpmath.workdps(50):
-        g = mpmath.mpf(gamma)
-        qq = mpmath.mpf(q)
-        xx = mpmath.mpf(x)
-        og = 1 - g
-        num = (xx + qq) ** og - og * (xx + qq) ** (-g) * xx - (qq + 1) ** og
-        den = (mpmath.mpf(m) + qq) ** og - (qq + 1) ** og
-        return float(num / den)
+def oracle(p):
+    return mpmath_closed_forms(p.gamma, p.q, p.m, p.s, p.g_c, p.c1)
+
+
+def assert_matches(value, clamped, want, rel=1e-13):
+    """A clamped value equals the oracle's clamp; any other is within ``rel`` of it."""
+    assert clamped == (not 0.0 <= want <= 1.0)
+    assert value == pytest.approx(min(max(want, 0.0), 1.0), rel=rel, abs=0)
+
+
+NEAR_ONE = [1.0 + e for d in (1e-3, 1e-6, 1e-9, 1e-12) for e in (-d, d)]
+
+
+class TestNearGammaOne:
+    """Each form against its raw paper form in 60-digit mpmath, as gamma nears 1."""
+
+    @pytest.mark.parametrize("q", [20.0, 0.0])
+    @pytest.mark.parametrize("gamma", NEAR_ONE + [1.0, 0.6, 1.8])
+    def test_closed_form(self, gamma, q):
+        p = RegimeParams(gamma, q, 10**5, 1, 100)
+        assert_matches(*hit_rate_closed_form(p), oracle(p)["closed_form"])
+
+    @pytest.mark.parametrize("q", [20.0, 0.0])
+    @pytest.mark.parametrize("gamma", [g for g in NEAR_ONE if g < 1] + [0.6])
+    def test_small_gamma_forms(self, gamma, q):
+        p = RegimeParams(gamma, q, 1000, 1, 2000)
+        assert_matches(*hit_rate_floor(p, p.rho), oracle(p)["floor"])
+        p = RegimeParams(gamma, q, 10**5, 1, 99_000)
+        r2 = tradeoff_small_gamma(p, "r2")
+        assert_matches(r2.outage, r2.clamped, oracle(p)["r2_outage"])
+        p = RegimeParams(gamma, q, 10**5, 1, 100)
+        r1, want = tradeoff_small_gamma(p, "r1"), oracle(p)
+        assert r1.throughput == pytest.approx(want["r1_throughput"], rel=1e-13, abs=0)
+        # 1 - b/m**alpha: at q = 0, b/m**alpha -> 1 as gamma -> 1, so the
+        # outage keeps an absolute, not a relative, accuracy there
+        assert r1.outage == pytest.approx(want["r1_outage"], rel=1e-13, abs=1e-15)
 
 
 class TestClosedForm:
     def test_matches_high_precision_reference(self):
         p = RegimeParams(0.6, 20.0, 1000, 1, 200)
-        got = hit_rate_closed_form(p)
-        x = p.c1 * p.s * p.g_c / p.gamma
-        want = mp_closed_form(0.6, 20.0, 1000, x)
-        assert not got.clamped
-        assert got.value == pytest.approx(want, rel=1e-12, abs=0)
+        assert_matches(*hit_rate_closed_form(p), oracle(p)["closed_form"])
 
     def test_tracks_exact_sum_small_gamma(self):
         # every cluster size below saturation, two gamma values
@@ -72,28 +101,27 @@ class TestClosedForm:
         with pytest.raises(RegimeError, match="saturation"):
             hit_rate_closed_form(p)
 
-    def test_rejects_gamma_one(self):
-        with pytest.raises(DomainError, match="singular"):
-            hit_rate_closed_form(RegimeParams(1.0, 5.0, 1000, 1, 50))
+    def test_gamma_one_takes_the_log_limit(self):
+        p = RegimeParams(1.0, 5.0, 1000, 1, 50)
+        x = p.c1 * p.s * p.g_c
+        want = (math.log((x + 5.0) / 6.0) - x / (x + 5.0)) / math.log(1005.0 / 6.0)
+        got = hit_rate_closed_form(p)
+        assert got.value == pytest.approx(want, rel=1e-14, abs=0)
+        for g in (1.0 - 1e-12, 1.0 + 1e-12):  # continuous through gamma = 1
+            near = hit_rate_closed_form(RegimeParams(g, 5.0, 1000, 1, 50)).value
+            assert near == pytest.approx(got.value, rel=1e-11, abs=0)
+
+    def test_single_file_library_is_an_empty_range(self):
+        with pytest.raises(RegimeError, match="empty range"):
+            hit_rate_closed_form(RegimeParams(5.0, 0.0, 1, 1, 4))
+        with pytest.raises(RegimeError, match="empty range"):
+            tradeoff_small_gamma(RegimeParams(0.5, 0.0, 1, 1, 4), "r2")
 
 
 class TestFloor:
     def test_matches_high_precision_reference(self):
         p = RegimeParams(0.6, 20.0, 1000, 1, 750)
-        rho = p.rho
-        got = hit_rate_floor(p, rho)
-        with mpmath.workdps(50):
-            g = mpmath.mpf(0.6)
-            d = mpmath.mpf(20.0) / 1000
-            phi = mpmath.mpf(p.phi)
-            og = 1 - g
-            e2 = g / phi + 1
-            br1 = (1 + d) ** og - d**og
-            br2 = (1 + d) ** e2 - d**e2
-            want = float(
-                1 - og * mpmath.exp(-(mpmath.mpf(rho) / mpmath.mpf(p.c1) - g)) / (br1 * br2**phi)
-            )
-        assert got.value == pytest.approx(want, rel=1e-12, abs=0)
+        assert_matches(*hit_rate_floor(p, p.rho), oracle(p)["floor"])
 
     def test_converges_to_exact_optimum(self):
         # asymptotic bound: at finite m it sits slightly above the exact
@@ -260,7 +288,7 @@ class TestClassify:
 
     def test_boundary_gamma_warns(self):
         got = classify_regime(RegimeParams(1.0, 0.0, 1000, 1, 50))
-        assert got.warnings
+        assert any("no tradeoff form" in w for w in got.warnings)
 
 
 class TestTheoryPoints:
@@ -283,8 +311,12 @@ class TestTheoryPoints:
         pts = theory_points(RegimeParams(0.6, 10_000.0, 10**5, 1, 100))
         assert [t.source for t in pts] == ["closed_form"]
 
-    def test_boundary_gamma_emits_nothing(self):
-        assert theory_points(RegimeParams(1.0, 10.0, 1000, 1, 50)) == []
+    def test_boundary_gamma_emits_closed_form_only(self):
+        p = RegimeParams(1.0, 10.0, 1000, 1, 50)
+        pts = theory_points(p)
+        assert [t.source for t in pts] == ["closed_form"]
+        assert pts[0].outage == 1.0 - hit_rate_closed_form(p).value
+        assert_matches(1.0 - pts[0].outage, pts[0].clamped, oracle(p)["closed_form"])
 
     def test_throughput_consistency(self):
         for g_c in (100, 625):

@@ -388,6 +388,15 @@ class TestAnalyzeCmd:
         # no seed involved, header records that
         assert meta.endswith("seed=none")
 
+    def test_single_file_library_writes_only_the_exact_sum(self, tmp_path):
+        # g_c = 4 sits below saturation, but ranks 1..m span an empty range
+        scn = scenario_file(tmp_path / "s.json", n=16, cluster_counts=[4], m=1,
+                            gamma=5.0, q=0.0)
+        rc = main(["analyze", "--scenario", scn, "--out", str(tmp_path / "o")])
+        assert rc == 0
+        _, _, rows = read_table(tmp_path / "o" / "theory_curves.csv")
+        assert [r["source"] for r in rows] == ["exact_sum"]
+
     def test_infeasible_counts_warned(self, tmp_path, capsys):
         scn = scenario_file(tmp_path / "s.json", **FIG_SCENARIO,
                             cluster_counts=[3, 100])

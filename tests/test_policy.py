@@ -279,6 +279,20 @@ def test_hit_probability_decreases_with_plateau():
         prev = cur
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gamma=st.floats(0.05, 3.0), q=st.floats(0.0, 100.0), dq=st.floats(0.0, 100.0),
+       m=st.integers(1, 300), s=st.integers(1, 3), g_c=st.integers(3, 2000))
+def test_optimal_hit_probability_does_not_rise_with_plateau(gamma, q, dq, m, s, g_c):
+    # the optimum is a maximum of functions linear in the pmf, so Schur-convex,
+    # and a larger q gives a law majorized by the smaller q's (likelihood ratio
+    # order); the slack covers the rounding of the two fsums
+    def optimum(q):
+        d = MZipfDist(gamma, q, m)
+        return hit_probability(d, waterfill(d, s, g_c), s, g_c)
+
+    assert optimum(q + dq) <= optimum(q) + 1e-13
+
+
 def test_cutoff_tracks_plateau_when_dominant():
     # with q a fixed multiple of s*g_c/gamma, m_star/q stays in a constant
     # band along a geometric scale-up

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from d2dcache import DomainError, MZipfDist, partial_sum, partial_sum_bounds
 from d2dcache.policy import waterfill
-from d2dcache.popularity import _guide_table, _head_terms, _invert
+from d2dcache.popularity import _guide_table, _head_terms, _invert, _power_integral
 
 from oracles import (
     bisect_ranks,
@@ -212,6 +212,21 @@ def test_rejects_non_finite_parameters():
             MZipfDist(gamma=gamma, q=q, m=10)
 
 
+def test_rejects_a_normalizer_that_underflows():
+    # (1 + q)**-gamma < 1e-600: every weight, and so the normalizer, is 0.0
+    with pytest.raises(DomainError, match=r"gamma = 300.0 and q = 100.0 underflow"):
+        MZipfDist(gamma=300.0, q=100.0, m=1000)
+
+
+def test_power_integral_from_zero():
+    # integral_0^w t**-gamma dt = w**(1-gamma)/(1-gamma) for gamma < 1
+    assert _power_integral(0.5, 0.0, 4.0) == 4.0
+    assert _power_integral(1.0 - 2.0**-20, 0.0, 0.0) == 0.0
+    # the limit of the x > 0 form as x -> 0
+    assert math.isclose(_power_integral(0.3, 1e-300, 3.0), _power_integral(0.3, 0.0, 3.0),
+                        rel_tol=1e-14)
+
+
 def test_sampling_statistics():
     d = MZipfDist(gamma=0.9, q=5.0, m=50)
     rng = np.random.default_rng(7)
@@ -296,8 +311,10 @@ def test_guide_table_inversion_property(weights, u):
     data=st.data(),
 )
 def test_request_table_draws_the_full_tables_support_ranks(gamma, q, m, data):
-    d = MZipfDist(gamma, q, m)
-    assume(d.normalizer > 0.0)  # (1 + q)**-gamma can underflow
+    try:
+        d = MZipfDist(gamma, q, m)
+    except DomainError:  # (1 + q)**-gamma can underflow
+        reject()
     m_star = data.draw(st.sampled_from([1, max(m - 1, 1), m]) | st.integers(1, m))
     table, full_table = d._request_table(m_star), _guide_table(d.probs)
     points = np.concatenate([table[0], full_table[0], *(
