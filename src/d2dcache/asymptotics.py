@@ -216,7 +216,9 @@ def hit_rate_floor(p: RegimeParams, rho: float) -> ClampedValue:
     consistent with ``p.g_c`` (``p.rho`` is the matching value).  The
     first bracket over ``1 - gamma`` is taken as ``I(d, 1)``, the integral
     of ``t^(-gamma)`` over ``[d, 1 + d]``, so it keeps full precision as
-    ``gamma`` nears 1 and reads ``1/(1-gamma)`` at ``q = 0``.
+    ``gamma`` nears 1 and reads ``1/(1-gamma)`` at ``q = 0``.  The second is
+    ``1 + u``, ``u = (1+d)((1+d)^eps - 1) - d(d^eps - 1)`` with ``eps = gamma/phi``
+    (two positive terms), raised to ``phi`` as ``exp(phi * log1p(u))``.
     """
     if p.gamma >= 1.0:
         raise RegimeError(
@@ -224,10 +226,10 @@ def hit_rate_floor(p: RegimeParams, rho: float) -> ClampedValue:
         )
     if rho < p.gamma:
         raise DomainError(f"rho must be >= gamma, got rho={rho} < {p.gamma}")
-    d = p.d
-    e2 = p.gamma / p.phi + 1.0
-    br2 = (1.0 + d) ** e2 - d**e2
-    val = 1.0 - math.exp(-(rho / p.c1 - p.gamma)) / (_power_integral(p.gamma, d, 1.0) * br2**p.phi)
+    d, eps = p.d, p.gamma / p.phi
+    u = (1.0 + d) * math.expm1(eps * math.log1p(d)) - (d * math.expm1(eps * math.log(d)) if d else 0.0)
+    val = 1.0 - math.exp(-(rho / p.c1 - p.gamma)) / (_power_integral(p.gamma, d, 1.0)
+                                                     * math.exp(p.phi * math.log1p(u)))
     return _clamp01(val)
 
 

@@ -9,8 +9,8 @@ The KL objective decomposes as
 
     kl(gamma, q) = sum_r p_r ln p_r + gamma * sum_r p_r ln(r + q) + ln H
 
-with ``H`` the model normalizer, so the data-dependent pieces are
-computed once per ``q`` and each grid point costs one O(1) normalizer sum.
+with ``H`` the model normalizer, so the data-dependent pieces are computed
+once per ``q`` and a grid costs one broadcast ``partial_sum`` per 2**16 points.
 The search is deterministic: no randomness, ties broken toward smaller
 ``(kl, gamma, q)`` lexicographically.
 """
@@ -47,6 +47,7 @@ __all__ = [
 
 # one row per access: integer user and content codes, NaN timestamp when absent
 LOG_DTYPE = np.dtype([("user", np.int64), ("content", np.int64), ("timestamp", np.float64)])
+_SCAN_POINTS = 1 << 16  # grid points per partial_sum call in fit_mzipf: flat memory
 
 
 @dataclass(frozen=True)
@@ -180,12 +181,17 @@ def fit_mzipf(emp: EmpiricalPopularity, m: int | None = None,
 
     def scan(g_pts, q_pts):
         nonlocal evals, best
-        for q in q_pts.tolist():
-            cross = float(p @ np.log(ranks + q))
-            for g in g_pts.tolist():
-                evals += 1
-                kl = plogp + g * cross + math.log(partial_sum(g, q, 1, m))
-                best = min(best, (kl, g, q))
+        cross = np.array([float(p @ np.log(ranks + q)) for q in q_pts.tolist()])
+        n = len(g_pts) * len(q_pts)
+        evals += n
+        for lo in range(0, n, _SCAN_POINTS):  # q-major, as a loop over q then gamma
+            qi, gi = np.divmod(np.arange(lo, min(lo + _SCAN_POINTS, n)), len(g_pts))
+            g, q = g_pts[gi], q_pts[qi]
+            log_h = np.fromiter(map(math.log, partial_sum(g, q, 1, m).tolist()), float, len(g))
+            # math.log rounds as a per-point loop; at m = 1 every model is the point mass: KL 0
+            kl = plogp + g * cross[qi] + log_h if m > 1 else np.zeros(len(g))
+            i = np.flatnonzero(kl == kl.min())
+            best = min(best, *zip(kl[i].tolist(), g[i].tolist(), q[i].tolist()))
 
     qs = _q_grid(q_lo, q_hi, s.coarse_steps)
     scan(np.linspace(g_lo, g_hi, s.coarse_steps), qs)
@@ -247,8 +253,8 @@ def _parse_ts(text: str) -> float:
         return datetime.fromisoformat(text).timestamp()
 
 
-# characters read per block: at most 256 KiB of UTF-8, so the per-block arrays stay small
-_BLOCK = 1 << 16
+# characters read per block: at most 1 MiB of UTF-8, so the per-block arrays stay a few MB
+_BLOCK = 1 << 18
 # rows per batch when csv.reader tokenises
 _CSV_ROWS = 1 << 12
 # zero bytes after each batch, so an 8-byte window from any field start stays inside
@@ -259,6 +265,7 @@ _BLANK[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 _POW10 = 10 ** np.arange(16, dtype=np.int64)
 _RIGHT = np.arange(16) >= 16 - np.arange(17)[:, None]  # row k: the last k of 16 columns
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
+_BYTE_SUM = np.uint64(0x0101010101010101)  # the top byte of w * _BYTE_SUM sums w's bytes
 _windows = np.lib.stride_tricks.sliding_window_view
 _ESCAPED = re.compile("[\udc80-\udcff]")
 
@@ -375,7 +382,9 @@ def _stamps(raw, lo, hi):
     inside = _RIGHT[size[short]]
     digit = inside & (c - np.uint8(48) < 10)
     point = inside & (c == 46)
-    n_digits, n_points = np.count_nonzero(digit, axis=1), np.count_nonzero(point, axis=1)
+    # a row's two words of 0/1 bytes, added bytewise (no carries), then their 8 bytes summed
+    n_digits, n_points = (((w[:, 0] + w[:, 1]) * _BYTE_SUM >> np.uint64(56)).astype(np.int64)
+                          for w in (digit.view(np.uint64), point.view(np.uint64)))
     ok = (n_digits + n_points == size[short]) & (n_points <= 1) & (n_digits >= 1)
     whole = (digit * (c - np.uint8(48))) @ _POW10[::-1]  # the point read as a 0 digit
     frac = np.zeros(len(short), dtype=np.int64)
@@ -464,9 +473,10 @@ class _LogBuilder:
         idx = ((np.cumsum(counts) - counts)[fits, None] + np.arange(w)).ravel()
         lo, hi = (a.reshape(-1, w) for a in _strip(raw, lo[idx], hi[idx]))
         lines = lines[fits]
-        empty = (lo[:, :2] == hi[:, :2]).any(axis=1)
-        bad += [(ln, "empty user_id or content_id") for ln in lines[empty].tolist()]
-        lo, hi, lines = lo[~empty], hi[~empty], lines[~empty]
+        empty = (lo[:, 0] == hi[:, 0]) | (lo[:, 1] == hi[:, 1])
+        if empty.any():
+            bad += [(ln, "empty user_id or content_id") for ln in lines[empty].tolist()]
+            lo, hi, lines = lo[~empty], hi[~empty], lines[~empty]
         if w == 3:
             ts = _stamps(raw, lo[:, 2], hi[:, 2])
             ok = np.ones(len(ts), dtype=bool)
@@ -477,7 +487,8 @@ class _LogBuilder:
                 except ValueError:
                     ok[i] = False
                     bad.append((int(lines[i]), f"bad timestamp {text!r}"))
-            lo, hi, ts = lo[ok], hi[ok], ts[ok]
+            if not ok.all():
+                lo, hi, ts = lo[ok], hi[ok], ts[ok]
             self.stamps.append(ts)
         bad.sort()
         self.bad += bad

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from d2dcache.errors import DomainError
-from d2dcache.fitting import LOG_DTYPE, _parse_ts
+from d2dcache.fitting import LOG_DTYPE, FitResult, FitSearch, _parse_ts, _q_grid, kl_divergence
 from d2dcache.policy import _exponent_denom
+from d2dcache.popularity import MZipfDist, partial_sum
 from d2dcache.simulator import Realization
 
 # chunk length of the first, streamed partial sum
@@ -197,6 +198,53 @@ def csv_reader_log(path):
     records = np.empty(len(stamps), dtype=LOG_DTYPE)
     records["user"], records["content"], records["timestamp"] = user_codes, content_codes, stamps
     return records, bad
+
+
+def loop_fit_mzipf(emp, m=None, search=None, normalizer=partial_sum):
+    """``fitting.fit_mzipf`` as one loop over grid points, a scalar normalizer call each.
+
+    ``normalizer(gamma, q, 1, m)`` stands for ``partial_sum``.  Validation is
+    left out: callers pass data ``fit_mzipf`` accepts.
+    """
+    r_obs = len(emp.counts)
+    m = r_obs if m is None else m
+    s = search or FitSearch()
+    g_lo, g_hi = s.gamma_range
+    q_lo, q_hi = s.q_range if s.q_range is not None else (0.0, float(m))
+
+    p = emp.probs
+    ranks = np.arange(1, r_obs + 1, dtype=float)
+    plogp = float(np.sum(p * np.log(p)))
+    evals = 0
+    best = (math.inf, math.inf, math.inf)  # (kl, gamma, q)
+
+    def scan(g_pts, q_pts):
+        nonlocal evals, best
+        for q in q_pts.tolist():
+            cross = float(p @ np.log(ranks + q))
+            for g in g_pts.tolist():
+                evals += 1
+                kl = plogp + g * cross + math.log(normalizer(g, q, 1, m))
+                best = min(best, (kl, g, q))
+
+    qs = _q_grid(q_lo, q_hi, s.coarse_steps)
+    scan(np.linspace(g_lo, g_hi, s.coarse_steps), qs)
+
+    # local box sized to the coarse cell around the incumbent
+    w_g = (g_hi - g_lo) / max(s.coarse_steps - 1, 1)
+    qi = int(np.argmin(np.abs(qs - best[2])))
+    w_q = max(np.diff(qs)[max(qi - 1, 0):qi + 1], default=max(q_hi - q_lo, 1.0))
+
+    for _ in range(s.refine_rounds):
+        g0, q0 = best[1], best[2]
+        g_pts = np.linspace(max(g_lo, g0 - w_g), min(g_hi, g0 + w_g), s.refine_points)
+        q_pts = np.linspace(max(q_lo, q0 - w_q), min(q_hi, q0 + w_q), s.refine_points)
+        scan(g_pts, q_pts)
+        w_g /= s.shrink
+        w_q /= s.shrink
+
+    kl_final = kl_divergence(p, MZipfDist(best[1], best[2], m).head(r_obs))
+    return FitResult(gamma=best[1], q=best[2], m=m, kl=kl_final, evaluations=evals)
 
 
 def kl_natural(p_data, p_model):

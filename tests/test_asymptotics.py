@@ -72,6 +72,15 @@ class TestNearGammaOne:
         assert r1.outage == pytest.approx(want["r1_outage"], rel=1e-13, abs=1e-15)
 
 
+    @pytest.mark.parametrize("m, g_c", [(1000, 2000), (1000, 20_000), (10**5, 10**5)])
+    @pytest.mark.parametrize("q", [20.0, 0.0, 300.0])
+    @pytest.mark.parametrize("gamma", [g for g in NEAR_ONE if g < 1] + [0.6])
+    def test_floor_keeps_double_precision_at_large_clusters(self, gamma, q, m, g_c):
+        # the second bracket is raised to phi = g_c - 2, which would multiply its rounding
+        p = RegimeParams(gamma, q, m, 1, g_c)
+        assert_matches(*hit_rate_floor(p, p.rho), oracle(p)["floor"], rel=4e-15)
+
+
 class TestClosedForm:
     def test_matches_high_precision_reference(self):
         p = RegimeParams(0.6, 20.0, 1000, 1, 200)

@@ -124,6 +124,8 @@ class TestFit:
         assert "single content" in capsys.readouterr().err
         got = json.loads((tmp_path / "o" / "fit_result.json").read_text())
         assert len(got["warnings"]) == 1 and "single content" in got["warnings"][0]
+        # every KL on the grid is exactly 0, so the tie rule picks the smallest point
+        assert (got["gamma"], got["q"]) == (0.05, 0.0)
 
     def test_optimum_on_upper_edge_of_search_box_warns(self, tmp_path, capsys):
         dist = MZipfDist(1.28, 34.0, 2000)

@@ -26,9 +26,9 @@ from d2dcache.fitting import (
     synthetic_records,
     write_empirical_csv,
 )
-from d2dcache.popularity import MZipfDist
+from d2dcache.popularity import MZipfDist, partial_sum
 
-from oracles import csv_reader_log, hashmap_dedupe, streamed_partial_sum
+from oracles import csv_reader_log, hashmap_dedupe, loop_fit_mzipf, streamed_partial_sum
 
 
 def rec(*rows):
@@ -71,6 +71,27 @@ def access_logs(draw):
     return text + draw(st.sampled_from(["", "\n", "\r", "\r\n"]))
 
 
+@st.composite
+def stamps(draw):
+    """A run of 1-20 digits and points: 0-2 points, often leading zeros or 15-17 digits."""
+    digits = draw(st.text("0123456789", min_size=draw(st.sampled_from([0, 1, 15, 16, 17])),
+                          max_size=20))
+    text = "0" * draw(st.integers(0, 3)) + digits
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + "." + text[i:]
+    return text[:20] or "."
+
+
+@st.composite
+def stamped_logs(draw):
+    """Text of a three-column log of such timestamps, some rows with an empty id."""
+    ids = st.sampled_from(["", "u", "u1", "c7", "abcdefgh", "x" * 12])
+    row = st.tuples(ids, ids, stamps()).map(",".join)
+    line_end = draw(st.sampled_from(["\n", "\r\n"]))
+    return line_end.join(["user_id,content_id,timestamp", *draw(st.lists(row, max_size=40))])
+
+
 def load_outcome(load, path):
     """``(records bytes, bad)`` of a loader, or the type of what it raised."""
     try:
@@ -78,6 +99,19 @@ def load_outcome(load, path):
     except Exception as e:
         return type(e)
     return records.tobytes(), bad
+
+
+def assert_reads_as_csv_reader(text, block):
+    """``load_access_log`` in blocks of ``block`` characters gives what csv.reader's loop gives."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "log.csv"
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        want = load_outcome(csv_reader_log, path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fitting, "_BLOCK", block)
+            got = load_outcome(load_access_log, path)
+    assert got == want
 
 
 class TestDedupe:
@@ -241,11 +275,65 @@ class TestFit:
         fr = fit_mzipf(emp, m=300, search=s)
         assert fr.evaluations == s.coarse_steps**2 + s.refine_rounds * s.refine_points**2
 
-    def test_same_result_with_streamed_normalizer(self, monkeypatch):
+    def test_same_result_with_streamed_normalizer(self):
         emp = emp_from_sample(MZipfDist(1.28, 34.0, 5000), 50_000, np.random.default_rng(17))
-        fast = fit_mzipf(emp, m=5000)
-        monkeypatch.setattr(fitting, "partial_sum", streamed_partial_sum)
-        assert fit_mzipf(emp, m=5000) == fast
+        assert fit_mzipf(emp, m=5000) == loop_fit_mzipf(emp, 5000, normalizer=streamed_partial_sum)
+
+    @pytest.mark.parametrize("data, m, search", [
+        (lambda: emp_from_pmf(MZipfDist(1.16, 22.0, 7345)), 7345, None),
+        (lambda: emp_from_sample(MZipfDist(1.36, 50.0, 16823), 10**6,
+                                 np.random.default_rng(42)), 16823, None),
+        (lambda: emp_from_pmf(MZipfDist(0.9, 0.0, 2000)), 2000, None),
+        (lambda: emp_from_pmf(MZipfDist(0.8, 5.0, 500)), 500, None),
+        (lambda: emp_from_sample(MZipfDist(1.1, 8.0, 800), 50_000,
+                                 np.random.default_rng(3)), 800, None),
+        (lambda: emp_from_sample(MZipfDist(1.3, 12.0, 400), 30_000, np.random.default_rng(9)),
+         400, FitSearch(coarse_steps=10, refine_rounds=0)),
+        # two contents with tied counts: the flattest model fits, in a corner of the box
+        (lambda: EmpiricalPopularity(np.array([1, 1]), 2, 2), None, None),
+        (lambda: EmpiricalPopularity(np.array([1, 1]), 2, 2), 2,
+         FitSearch(gamma_range=(0.05, 0.5), q_range=(1.0, 2.0), coarse_steps=20)),
+    ])
+    def test_matches_per_point_loop(self, data, m, search):
+        emp = data()
+        assert fit_mzipf(emp, m=m, search=search) == loop_fit_mzipf(emp, m, search)
+
+    def test_short_calls_match_per_point_loop(self, monkeypatch):
+        # three points per partial_sum call: every chunk edge and a short last chunk
+        emp = emp_from_sample(MZipfDist(1.1, 8.0, 800), 50_000, np.random.default_rng(3))
+        monkeypatch.setattr(fitting, "_SCAN_POINTS", 3)
+        assert fit_mzipf(emp, m=800) == loop_fit_mzipf(emp, 800)
+
+    def test_fine_grid_matches_per_point_loop(self):
+        # 300**2 points: two partial_sum calls for the coarse pass, the second one short
+        emp = emp_from_sample(MZipfDist(0.8, 5.0, 300), 20_000, np.random.default_rng(5))
+        search = FitSearch(coarse_steps=300, refine_rounds=2)
+        coarse = dict(zip(np.linspace(0.05, 5.0, 300).tolist(), range(300)))
+        rows: dict = {}
+
+        def normalizer(g, q, a, b):
+            # scalar calls are the elements of array calls, so a coarse row is read from one
+            if g not in coarse:
+                return partial_sum(g, q, a, b)
+            if q not in rows:
+                rows[q] = partial_sum(np.array(list(coarse)), q, a, b).tolist()
+            return rows[q][coarse[g]]
+
+        assert fit_mzipf(emp, m=300, search=search) == loop_fit_mzipf(emp, 300, search, normalizer)
+
+    def test_fine_grid_runs_in_flat_memory(self):
+        # 2**16 grid points, then 4x as many: the second search must not need more memory
+        emp = emp_from_pmf(MZipfDist(0.8, 5.0, 300))
+        peaks = []
+        for steps in (256, 512):
+            tracemalloc.start()
+            try:
+                fr = fit_mzipf(emp, m=300, search=FitSearch(coarse_steps=steps, refine_rounds=0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert fr.evaluations == steps**2
+        assert peaks[1] < min(1.2 * peaks[0], 64 << 20)
 
     def test_coarse_grid_optimality(self):
         # with refinement off, the result must be the exhaustive argmin of
@@ -365,15 +453,15 @@ class TestIO:
     def test_matches_csv_reader_oracle(self, block, text):
         """Records, warnings and errors equal csv.reader's loop, with blocks
         so short that records and CRLF pairs straddle them."""
-        with tempfile.TemporaryDirectory() as d:
-            path = Path(d) / "log.csv"
-            with open(path, "w", newline="") as fh:
-                fh.write(text)
-            want = load_outcome(csv_reader_log, path)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(fitting, "_BLOCK", block)
-                got = load_outcome(load_access_log, path)
-        assert got == want
+        assert_reads_as_csv_reader(text, block)
+
+    @pytest.mark.parametrize("block", [5, 64])
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=stamped_logs())
+    def test_stamps_and_empty_ids_match_csv_reader_oracle(self, block, text):
+        """Digit and point counts by words, and batches where no row or every row
+        is dropped, read as csv.reader's loop reads them, across block edges."""
+        assert_reads_as_csv_reader(text, block)
 
     def test_timestamps_read_as_float_reads_them(self, tmp_path):
         # with a point, 16 digits make an inexact integer, which one division rounds again

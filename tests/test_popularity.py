@@ -38,7 +38,7 @@ def test_partial_sum_matches_naive_oracle():
 
 def head_len(gamma, q, a=1):
     """K: the number of terms partial_sum sums exactly from ``a``."""
-    return _head_terms(gamma, q, a, 10**18)
+    return int(_head_terms(np.array([gamma]), np.array([q]), a, 10**18)[0])
 
 
 NEAR_ONE = [1.0 + d for e in (1e-3, 1e-6, 1e-9, 1e-12) for d in (-e, e)]
@@ -47,14 +47,22 @@ NEAR_ONE = [1.0 + d for e in (1e-3, 1e-6, 1e-9, 1e-12) for d in (-e, e)]
 @pytest.mark.parametrize("gamma", [0.05, 0.5, *NEAR_ONE, 1.0, 1.28, 2.0, 5.0])
 def test_partial_sum_matches_hurwitz_oracle(gamma):
     # q = 10 starts the tail just past the head bound, where truncation shows
+    qs_by_range: dict = {}
     for q in (0.0, 0.5, 10.0, 34.0, 1e3):
         k = head_len(gamma, q)
         for m in sorted({1, max(k, 1), k + 1, k + 2, 19379, 10**5, 10**7}):
             want = hurwitz_partial_sum(gamma, q, 1, m)
             assert math.isclose(partial_sum(gamma, q, 1, m), want, rel_tol=1e-14), (q, m)
+            qs_by_range.setdefault((1, m), []).append((q, want))
         for a, b in ((2, 3), (7, 19379), (1000, 10**5), (12345, 10**7)):
             want = hurwitz_partial_sum(gamma, q, a, b)
             assert math.isclose(partial_sum(gamma, q, a, b), want, rel_tol=1e-14), (q, a, b)
+            qs_by_range.setdefault((a, b), []).append((q, want))
+    # the same cases again, all q of one range in one array call
+    for (a, b), cases in qs_by_range.items():
+        got = partial_sum(gamma, np.array([q for q, _ in cases]), a, b)
+        for (q, want), value in zip(cases, got.tolist()):
+            assert math.isclose(value, want, rel_tol=1e-14), (q, a, b)
 
 
 @pytest.mark.parametrize("gamma", [-1.5, 0.0, 10.0, 20.0, 50.0])
@@ -65,6 +73,23 @@ def test_partial_sum_far_exponents_match_direct_sum(gamma):
         for m in sorted({head_len(gamma, q) + 1, 2 * 10**4}):
             want = mpmath_normalizer(gamma, q, m)
             assert math.isclose(partial_sum(gamma, q, 1, m), want, rel_tol=1e-14), (q, m)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gammas=st.lists(st.floats(0.0, 5.0, exclude_min=True), min_size=1, max_size=5),
+       qs=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=5),
+       b=st.integers(1, 10**7), data=st.data())
+def test_partial_sum_broadcasts_bit_for_bit(gammas, qs, b, data):
+    a = data.draw(st.integers(1, min(b, 100)) | st.integers(1, b))
+    one = [[partial_sum(g, q, a, b) for q in qs] for g in gammas]
+    assert all(type(v) is float for row in one for v in row)
+    grid = partial_sum(np.array(gammas)[:, None], np.array(qs)[None, :], a, b)
+    assert grid.shape == (len(gammas), len(qs))
+    assert grid.tobytes() == np.array(one).tobytes()
+    n = min(len(gammas), len(qs))
+    flat = partial_sum(np.array(gammas[:n]), np.array(qs[:n]), a, b)
+    assert flat.shape == (n,)
+    assert flat.tobytes() == np.array([one[i][i] for i in range(n)]).tobytes()
 
 
 def test_partial_sum_head_only_is_bit_identical_to_streamed_sum():
