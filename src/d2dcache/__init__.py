@@ -1,93 +1,15 @@
 """Cache placement and performance analysis for clustered D2D content delivery."""
 
-from .asymptotics import (
-    Classification,
-    ClampedValue,
-    RegimeParams,
-    TradeoffPoint,
-    classify_regime,
-    hit_rate_closed_form,
-    hit_rate_floor,
-    theory_points,
-    tradeoff_large_gamma,
-    tradeoff_small_gamma,
-)
+from . import asymptotics, fitting, policy, popularity, simulator
+from .asymptotics import *  # noqa: F403
 from .errors import ConfigError, DomainError, InvariantError, RegimeError
-from .fitting import (
-    LOG_DTYPE,
-    EmpiricalPopularity,
-    FitResult,
-    FitSearch,
-    dedupe_accesses,
-    fit_mzipf,
-    kl_divergence,
-    load_access_log,
-    subsample_study,
-    synthetic_records,
-    write_empirical_csv,
-)
-from .policy import (
-    CachingPolicy,
-    hit_probability,
-    solve_cutoff_constant,
-    waterfill,
-)
-from .popularity import MZipfDist, PartialSumBounds, partial_sum, partial_sum_bounds
-from .simulator import (
-    NetworkConfig,
-    Realization,
-    SimResult,
-    curve_points,
-    monte_carlo,
-    per_user_throughput,
-    realize,
-    sweep,
-    throughput_accounting,
-)
+from .fitting import *  # noqa: F403
+from .policy import *  # noqa: F403
+from .popularity import *  # noqa: F403
+from .simulator import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CachingPolicy",
-    "Classification",
-    "ClampedValue",
-    "ConfigError",
-    "DomainError",
-    "EmpiricalPopularity",
-    "FitResult",
-    "FitSearch",
-    "InvariantError",
-    "LOG_DTYPE",
-    "MZipfDist",
-    "NetworkConfig",
-    "PartialSumBounds",
-    "Realization",
-    "RegimeError",
-    "RegimeParams",
-    "SimResult",
-    "TradeoffPoint",
-    "classify_regime",
-    "curve_points",
-    "dedupe_accesses",
-    "fit_mzipf",
-    "hit_probability",
-    "hit_rate_closed_form",
-    "hit_rate_floor",
-    "kl_divergence",
-    "load_access_log",
-    "monte_carlo",
-    "partial_sum",
-    "partial_sum_bounds",
-    "per_user_throughput",
-    "realize",
-    "solve_cutoff_constant",
-    "subsample_study",
-    "sweep",
-    "synthetic_records",
-    "theory_points",
-    "throughput_accounting",
-    "tradeoff_large_gamma",
-    "tradeoff_small_gamma",
-    "waterfill",
-    "write_empirical_csv",
-]
+__all__ = sorted(["ConfigError", "DomainError", "InvariantError", "RegimeError",
+                  *asymptotics.__all__, *fitting.__all__, *policy.__all__,
+                  *popularity.__all__, *simulator.__all__])

@@ -84,7 +84,7 @@ class RegimeParams:
 
     @property
     def phi(self) -> int:
-        return self.s * (self.g_c - 1) - 1
+        return _exponent_denom(self.s, self.g_c)
 
     @property
     def a_prime(self) -> float:

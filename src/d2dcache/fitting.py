@@ -48,6 +48,8 @@ __all__ = [
 # one row per access: integer user and content codes, NaN timestamp when absent
 LOG_DTYPE = np.dtype([("user", np.int64), ("content", np.int64), ("timestamp", np.float64)])
 _SCAN_POINTS = 1 << 16  # grid points per partial_sum call in fit_mzipf: flat memory
+_REFINE_POINTS = 7  # points per axis of each refine grid
+_SHRINK = 5.0  # factor the refine box shrinks by per round
 
 
 @dataclass(frozen=True)
@@ -123,16 +125,15 @@ class FitSearch:
 
     The coarse pass covers ``gamma_range`` linearly and ``q_range``
     geometrically past the first cell (popularity is far more sensitive
-    to q near zero).  Refinement re-grids 7 points per axis around the
-    incumbent, shrinking the box 5x per round.
+    to q near zero).  Each refine round re-grids ``_REFINE_POINTS`` = 7
+    points per axis around the incumbent, then shrinks the box ``_SHRINK`` =
+    5 times.
     """
 
     gamma_range: tuple = (0.05, 5.0)
     q_range: tuple | None = None
     coarse_steps: int = 50
     refine_rounds: int = 6
-    refine_points: int = 7
-    shrink: float = 5.0
 
 
 @dataclass(frozen=True)
@@ -203,11 +204,11 @@ def fit_mzipf(emp: EmpiricalPopularity, m: int | None = None,
 
     for _ in range(s.refine_rounds):
         g0, q0 = best[1], best[2]
-        g_pts = np.linspace(max(g_lo, g0 - w_g), min(g_hi, g0 + w_g), s.refine_points)
-        q_pts = np.linspace(max(q_lo, q0 - w_q), min(q_hi, q0 + w_q), s.refine_points)
+        g_pts = np.linspace(max(g_lo, g0 - w_g), min(g_hi, g0 + w_g), _REFINE_POINTS)
+        q_pts = np.linspace(max(q_lo, q0 - w_q), min(q_hi, q0 + w_q), _REFINE_POINTS)
         scan(g_pts, q_pts)
-        w_g /= s.shrink
-        w_q /= s.shrink
+        w_g /= _SHRINK
+        w_q /= _SHRINK
 
     kl_final = kl_divergence(p, MZipfDist(best[1], best[2], m).head(r_obs))
     return FitResult(gamma=best[1], q=best[2], m=m, kl=kl_final, evaluations=evals)
@@ -396,32 +397,24 @@ def _stamps(raw, lo, hi):
     return out
 
 
-def _first_seen(keys):
-    """Each distinct key's first row, in key order, and each row's distinct-key index."""
-    # np.unique's stable sort for return_index is several times slower than this
-    _, inverse = np.unique(keys, return_inverse=True)
-    first = np.full(inverse.max(initial=-1) + 1, len(keys))
-    np.minimum.at(first, inverse, np.arange(len(keys)))
-    return first, inverse
-
-
 class _IdCoder:
-    """Codes one id column by first appearance.
+    """Codes one id column by first appearance, short ids and long ids alike:
+    an id's code is the rank of its first row among the rows where an id
+    first appears, so codes are dense and follow the order of the log.
 
     An id under 8 bytes is keyed by one little-endian uint64 word of its
     bytes with its length in the top byte, and these keys are sorted once
-    after the last batch.  Every row has such a word, 0 for a longer id.  A
-    longer id is looked up by its bytes in a dict, which holds each distinct
-    long id once: no key is padded, and a long id's bytes are kept once, not
-    once per row.
+    after the last batch to find each key's first row.  Every row has such a
+    word, 0 for a longer id.  A longer id is looked up by its bytes in a dict
+    that maps it to its first row and holds each distinct long id once: no
+    key is padded, and a long id's bytes are kept once, not once per row.
     """
 
     def __init__(self):
         self.words: list = [np.zeros(0, dtype=np.uint64)]  # per batch: each row's word
-        self.long_ids: dict = {}  # bytes of a long id -> its index in order of first appearance
-        self.long_first: list = []  # per batch: rows where long ids first appear
+        self.long_ids: dict = {}  # bytes of a long id -> the row where it first appears
         self.long_rows: list = [np.zeros(0, dtype=np.int64)]  # per batch: rows with a long id
-        self.long_index: list = [np.zeros(0, dtype=np.int64)]  # ... and that id's index
+        self.long_first: list = [np.zeros(0, dtype=np.int64)]  # ... and that id's first row
 
     def add(self, raw, lo, hi, first_row: int):
         size = hi - lo
@@ -430,26 +423,26 @@ class _IdCoder:
         self.words.append(word | short.astype(np.uint64) << np.uint64(56))
         rows = np.flatnonzero(size >= 8)
         if len(rows):
-            ids, known, data = self.long_ids, len(self.long_ids), raw.tobytes()
-            index = np.array([ids.setdefault(data[a:b], len(ids))
-                              for a, b in zip(lo[rows].tolist(), hi[rows].tolist())])
-            new = np.flatnonzero(index >= known)
-            self.long_first.append(first_row + rows[new[np.unique(index[new], return_index=True)[1]]])
-            self.long_rows.append(first_row + rows)
-            self.long_index.append(index)
+            ids, data, at = self.long_ids, raw.tobytes(), first_row + rows
+            self.long_first.append(np.array([ids.setdefault(data[a:b], r) for a, b, r in zip(
+                lo[rows].tolist(), hi[rows].tolist(), at.tolist())], dtype=np.int64))
+            self.long_rows.append(at)
 
     def codes(self) -> np.ndarray:
         words = np.concatenate(self.words)
-        self.words = []
-        first, inverse = _first_seen(words)
-        if len(first) and words[first[0]] == 0:
-            first[0] = len(words)  # the long ids' placeholder takes the last code, which no row keeps
-        firsts = np.concatenate([first, *self.long_first])
-        code = np.empty(len(firsts), dtype=np.int64)
-        code[np.argsort(firsts)] = np.arange(len(firsts))
-        codes = code[inverse]
-        codes[np.concatenate(self.long_rows)] = code[len(first) + np.concatenate(self.long_index)]
-        return codes
+        _, inverse = np.unique(words, return_inverse=True)
+        self.words = words = []  # both copies freed before the row-sized arrays below
+        # each key's first row; np.unique's stable sort for return_index is several times slower
+        first = np.full(inverse.max(initial=-1) + 1, len(inverse))
+        np.minimum.at(first, inverse, np.arange(len(inverse)))
+        first = first[inverse]  # now per row; the rows of key 0, the long ids, are set next
+        del inverse
+        first[np.concatenate(self.long_rows)] = np.concatenate(self.long_first)
+        rank = np.zeros(len(first), dtype=np.int64)  # 1 at each first row, then its rank
+        rank[first] = 1
+        np.cumsum(rank, out=rank)
+        rank -= 1
+        return rank[first]
 
 
 class _LogBuilder:

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from d2dcache.errors import DomainError
-from d2dcache.fitting import LOG_DTYPE, FitResult, FitSearch, _parse_ts, _q_grid, kl_divergence
+from d2dcache.fitting import (
+    _REFINE_POINTS, _SHRINK, LOG_DTYPE, FitResult, FitSearch, _parse_ts, _q_grid, kl_divergence,
+)
 from d2dcache.policy import _exponent_denom
 from d2dcache.popularity import MZipfDist, partial_sum
 from d2dcache.simulator import Realization
@@ -237,11 +239,11 @@ def loop_fit_mzipf(emp, m=None, search=None, normalizer=partial_sum):
 
     for _ in range(s.refine_rounds):
         g0, q0 = best[1], best[2]
-        g_pts = np.linspace(max(g_lo, g0 - w_g), min(g_hi, g0 + w_g), s.refine_points)
-        q_pts = np.linspace(max(q_lo, q0 - w_q), min(q_hi, q0 + w_q), s.refine_points)
+        g_pts = np.linspace(max(g_lo, g0 - w_g), min(g_hi, g0 + w_g), _REFINE_POINTS)
+        q_pts = np.linspace(max(q_lo, q0 - w_q), min(q_hi, q0 + w_q), _REFINE_POINTS)
         scan(g_pts, q_pts)
-        w_g /= s.shrink
-        w_q /= s.shrink
+        w_g /= _SHRINK
+        w_q /= _SHRINK
 
     kl_final = kl_divergence(p, MZipfDist(best[1], best[2], m).head(r_obs))
     return FitResult(gamma=best[1], q=best[2], m=m, kl=kl_final, evaluations=evals)

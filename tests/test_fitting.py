@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from d2dcache import fitting
@@ -48,6 +48,16 @@ _BLANKS = ["\t", " ", "\x0b", "\x1c", "\xa0", "\u3000"]
 _WORDS = ["", "u1", "u2", "c7", "é", "abcdefgh", "1e9", "1_000", "inf", "nan", "1700000000",
           "12.5", "2024-06-01T12:00:00", "garbage"]
 _BREAKERS = [",", "\n", "\r", "\r\n", '"', "\x00"]
+# logs where ids of 8 bytes or more meet shorter ones: every id long, a long id first, a long
+# id first seen a block after the short ids around it, a short id that is a long id's prefix
+_LONG_ID_LOGS = ["user_id,content_id\n" + "".join(f"{u},{c}\n" for u, c in rows) for rows in (
+    [(f"user-{i % 3:04}", f"https://cdn.example/v/{i % 5}") for i in range(12)],
+    [("first-user-is-long", "c1"), ("u1", "c2"), ("first-user-is-long", "c1"), ("u2", "c1")],
+    [*((f"u{i % 4}", f"c{i % 3}") for i in range(20)), ("u1", "https://cdn.example/late"),
+     ("u9", "c0"), ("late-long-user", "c8"), ("u2", "https://cdn.example/late"), ("u9", "c1")],
+    [("abcdefg", "c1"), ("abcdefgh", "c1234567"), ("abcdefg", "c123456"), ("abcdefghij", "c1"),
+     ("abcdefgh", "c123456"), ("abcdefg", "c1234567"), ("abcdefg", "c1")],
+)]
 
 
 @st.composite
@@ -273,7 +283,7 @@ class TestFit:
         emp = emp_from_pmf(MZipfDist(0.8, 5.0, 300))
         s = FitSearch()
         fr = fit_mzipf(emp, m=300, search=s)
-        assert fr.evaluations == s.coarse_steps**2 + s.refine_rounds * s.refine_points**2
+        assert fr.evaluations == s.coarse_steps**2 + s.refine_rounds * fitting._REFINE_POINTS**2
 
     def test_same_result_with_streamed_normalizer(self):
         emp = emp_from_sample(MZipfDist(1.28, 34.0, 5000), 50_000, np.random.default_rng(17))
@@ -450,9 +460,14 @@ class TestIO:
     @pytest.mark.parametrize("block", [5, 64])
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(text=access_logs())
+    @example(text=_LONG_ID_LOGS[0])
+    @example(text=_LONG_ID_LOGS[1])
+    @example(text=_LONG_ID_LOGS[2])
+    @example(text=_LONG_ID_LOGS[3])
     def test_matches_csv_reader_oracle(self, block, text):
         """Records, warnings and errors equal csv.reader's loop, with blocks
-        so short that records and CRLF pairs straddle them."""
+        so short that records and CRLF pairs straddle them, and short and
+        long ids share one first-appearance order."""
         assert_reads_as_csv_reader(text, block)
 
     @pytest.mark.parametrize("block", [5, 64])
