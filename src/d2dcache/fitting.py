@@ -86,8 +86,9 @@ def dedupe_accesses(records) -> EmpiricalPopularity:
     Tied contents have equal counts, so the ranking does not depend on row order.
     """
     (u, n_users), (c, n_contents) = (_dense_codes(records[f]) for f in ("user", "content"))
-    # asking for counts keeps np.unique on its sort path, far faster here than its hash path
-    uniq = np.unique(u * n_contents + c, return_counts=True)[0]
+    keys = u * n_contents + c
+    keys.sort()  # in place: np.unique would sort a copy, at the peak memory of a fit
+    uniq = keys[np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1]))]  # first of each run
     counts = np.bincount(uniq % n_contents, minlength=n_contents)
     return EmpiricalPopularity(np.sort(counts)[::-1], int(uniq.size), n_users)
 

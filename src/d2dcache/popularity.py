@@ -113,7 +113,7 @@ def _guide_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inversion table ``(edges, guide)`` for :func:`_invert` over ranks ``1..L``.
 
     ``edges[r]`` is the cdf at rank ``r``: ``edges[0] = 0`` and the top
-    entry is forced to 1.0 against rounding.  With ``K = max(L, min(4L,
+    entry is forced to 1.0 against rounding.  With ``K = max(L, min(16L,
     2**22))`` buckets (Chen & Asau, 1974), ``guide[b]`` is one more than the
     number of cdf values ``c`` with ``fl(c*K) < b``: the lowest rank a
     uniform in bucket ``b`` can map to.  A search from there takes about
@@ -121,7 +121,7 @@ def _guide_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
-    k = max(len(cdf), min(4 * len(cdf), 1 << 22))
+    k = max(len(cdf), min(16 * len(cdf), 1 << 22))
     edges = np.concatenate(([0.0], cdf))
     guide = np.searchsorted(cdf * k, np.arange(k + 1), side="left") + 1
     return edges, guide

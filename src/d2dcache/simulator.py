@@ -15,7 +15,7 @@ The per-realization accounting identity
 is verified on every realization; a violation raises InvariantError since
 it can only come from a bookkeeping bug.
 
-Draws invert a cdf through ``max(L, min(4L, 2**22))`` guide buckets for ``L``
+Draws invert a cdf through ``max(L, min(16L, 2**22))`` guide buckets for ``L``
 ranks: caches over the policy's support ``1..m_star``, requests over ``1..m_star``
 plus one bucket for all later ranks.  A table with a row per cluster and a column
 per rank up to the largest cached one counts who holds what; its empty column 0
@@ -106,7 +106,7 @@ class NetworkConfig:
 @dataclass(frozen=True)
 class Realization:
     caches: np.ndarray  # (n, s) cached file per slot
-    requests: np.ndarray  # (n,) requested rank, 0 when no cache in the network holds it
+    requests: np.ndarray  # (n,) requested rank, 0 when above every rank a cache holds
     linked: np.ndarray  # (n,) bool, request held by another cluster member
     self_hit: np.ndarray  # (n,) bool, request in own cache
     served: np.ndarray  # (n,) bool
@@ -117,20 +117,23 @@ class Realization:
 def realize(config: NetworkConfig, dist, policy: CachingPolicy,
             rng: np.random.Generator) -> Realization:
     """Draw one network state: caches, requests and who gets served."""
-    n = config.n
+    # two draws and cluster offsets made twice keep few n-sized arrays alive: a trial's
+    # heap peak mostly fits in what the last one freed, so glibc need not trim and refault
+    n, s = config.n, config.s
     clusters = config._clusters
-    caches = _invert(policy._table, rng.random((n, config.s)))
+    caches = _invert(policy._table, rng.random((n, s)))
     requests = _invert(dist._request_table(policy.m_star), rng.random(n))
 
     # one column per rank up to the largest cached one; ranks start at 1, so
-    # column 0 stays empty and takes the requests no cache in the network holds
+    # column 0 stays empty and takes the requests above every cached rank
     width = int(caches.max()) + 1
-    np.putmask(requests, requests >= width, 0)
-    slot_keys = (clusters[:, None] * width + caches).ravel()
-    held = np.bincount(slot_keys, minlength=config.n_clusters * width)
-    own_slots = np.count_nonzero(caches == requests[:, None], axis=1)
-    linked = held[clusters * width + requests] - own_slots >= 1
-    self_hit = own_slots >= 1
+    requests *= requests < width  # branch-free: a masked store mispredicts on a mixed mask
+    held = np.bincount((clusters[:, None] * width + caches).ravel(),
+                       minlength=config.n_clusters * width)
+    own = caches == requests[:, None]
+    own_slots = own[:, 0] if s == 1 else np.count_nonzero(own, axis=1)
+    linked = held[clusters * width + requests] > own_slots
+    self_hit = own_slots.astype(bool, copy=False)
     served = (linked | self_hit) if config.include_self_cache else linked
 
     potential_links = np.bincount(clusters, weights=linked,
@@ -202,6 +205,7 @@ def monte_carlo(config: NetworkConfig, dist, policy: CachingPolicy, trials: int,
     for t, child in enumerate(_as_seedseq(seed).spawn(trials)):
         real = realize(config, dist, policy, np.random.default_rng(child))
         _, tmins[t], outages[t] = throughput_accounting(config, real)
+        del real  # freed before the next trial allocates, as in realize
 
     def stderr(x):
         return float(x.std(ddof=1) / math.sqrt(trials))
