@@ -178,6 +178,16 @@ def _outage_z(mean: float, exact: float, stderr: float):
     return (mean - exact) / stderr if stderr else None
 
 
+def _fill(given: tuple, default: tuple) -> tuple:
+    """``given`` with each None replaced by the matching entry of ``default``."""
+    return tuple(d if g is None else g for g, d in zip(given, default))
+
+
+def _cell(value) -> str:
+    """A CSV cell: the ``repr`` of a number, or empty for None."""
+    return "" if value is None else repr(value)
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -206,16 +216,10 @@ def cmd_fit(args) -> int:
     emp = dedupe_accesses(records)
     search_kwargs = {}
     if args.gamma_lo is not None or args.gamma_hi is not None:
-        search_kwargs["gamma_range"] = (
-            args.gamma_lo if args.gamma_lo is not None else 0.05,
-            args.gamma_hi if args.gamma_hi is not None else 5.0,
-        )
+        search_kwargs["gamma_range"] = _fill((args.gamma_lo, args.gamma_hi), FitSearch().gamma_range)
     if args.q_lo is not None or args.q_hi is not None:
         m_cap = args.m if args.m is not None else len(emp.counts)
-        search_kwargs["q_range"] = (
-            args.q_lo if args.q_lo is not None else 0.0,
-            args.q_hi if args.q_hi is not None else float(m_cap),
-        )
+        search_kwargs["q_range"] = _fill((args.q_lo, args.q_hi), (0.0, float(m_cap)))
     if args.coarse_steps is not None:
         search_kwargs["coarse_steps"] = args.coarse_steps
     if args.refine_rounds is not None:
@@ -427,18 +431,8 @@ def cmd_sweep(args) -> int:
         for p in points:
             simulated = p.source == "simulated"
             z = _outage_z(p.outage, exact[p.g_c], p.outage_stderr) if simulated else None
-            w.writerow(
-                [
-                    n // p.g_c,
-                    p.g_c,
-                    repr(p.outage),
-                    "" if p.outage_stderr is None else repr(p.outage_stderr),
-                    repr(p.throughput),
-                    "" if p.throughput_stderr is None else repr(p.throughput_stderr),
-                    p.source,
-                    "" if z is None else repr(z),
-                ]
-            )
+            w.writerow([n // p.g_c, p.g_c, repr(p.outage), _cell(p.outage_stderr),
+                        repr(p.throughput), _cell(p.throughput_stderr), p.source, _cell(z)])
     skipped = len(scn["cluster_counts"]) - len(configs)
     print(
         f"sweep: {len(configs)} cluster counts simulated, {skipped} skipped, "

@@ -97,7 +97,7 @@ def _dense_codes(ids: np.ndarray) -> tuple[np.ndarray, int]:
     """Codes ``0..k-1`` of ``ids`` and ``k``; kept after an O(n) check if already so coded."""
     k = int(ids.max()) + 1 if ids.size else 0
     if 0 < k <= ids.size and ids.min() >= 0 and np.bincount(ids, minlength=k).all():
-        return ids.astype(np.intp), k
+        return ids.astype(np.intp, copy=False), k  # no copy: dedupe builds new keys
     uniq, codes = np.unique(ids, return_inverse=True)
     return codes, len(uniq)
 
@@ -158,8 +158,8 @@ def fit_mzipf(emp: EmpiricalPopularity, m: int | None = None,
     """Best (gamma, q) in KL divergence for a library of m files.
 
     ``m`` defaults to the number of observed contents.  Raises
-    ``DomainError`` for empty data or ranges outside gamma in (0, 5],
-    q in [0, m].
+    ``DomainError`` for empty data, ranges outside gamma in (0, 5],
+    q in [0, m], ``coarse_steps < 1`` or ``refine_rounds < 0``.
     """
     if emp.total == 0:
         raise DomainError("no unique accesses")
@@ -168,6 +168,8 @@ def fit_mzipf(emp: EmpiricalPopularity, m: int | None = None,
     if m < r_obs:
         raise DomainError(f"library size {m} smaller than observed ranks {r_obs}")
     s = search or FitSearch()
+    if s.coarse_steps < 1 or s.refine_rounds < 0:
+        raise DomainError(f"need coarse_steps >= 1 and refine_rounds >= 0, got {s}")
     g_lo, g_hi = s.gamma_range
     if not (0 < g_lo < g_hi <= 5.0):
         raise DomainError(f"gamma_range must satisfy 0 < lo < hi <= 5, got {s.gamma_range}")

@@ -110,7 +110,7 @@ def waterfill(dist: MZipfDist, s: int, g_c: int) -> CachingPolicy:
     z = inv_sum = np.empty(0)
     lo, k = 0, min(_FIRST_PREFIX, m)
     while True:
-        z = np.concatenate((z, (dist._weights(lo, k) / dist.normalizer) ** (1.0 / phi)))
+        z = np.concatenate((z, dist._pmf(lo, k) ** (1.0 / phi)))
         # the running sum of 1/z goes on from its last value, as one cumsum would
         tail = np.cumsum(np.concatenate((inv_sum[-1:], 1.0 / z[lo:])))
         inv_sum = np.concatenate((inv_sum[:-1], tail))

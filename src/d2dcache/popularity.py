@@ -29,8 +29,7 @@ __all__ = [
     "partial_sum_bounds",
 ]
 
-# Chunk length for streamed summation / sampling; keeps peak memory flat
-# without hurting the pairwise accumulation inside each chunk.
+# Draws per chunk of MZipfDist.sample; keeps peak memory flat for large requests.
 _CHUNK = 1 << 22
 
 # Steps of the guide-table walk before the rest of a draw is bisected;
@@ -43,9 +42,13 @@ _EM_COEF = [c / math.factorial(2 * k) for k, c in enumerate(
 
 
 def _head_terms(gamma: np.ndarray, q: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Least ``K <= b - a + 1`` whose remainder factor (see partial_sum) is <= 2**-53."""
-    rising = np.multiply.reduce(np.abs(gamma[:, None] + np.arange(16)), axis=1)  # |(gamma)_16|
-    reach = (abs(_EM_COEF[-1]) * rising * 2.0**53) ** (1 / 16) - q - a
+    """Least ``K <= b - a + 1`` whose remainder factor (see partial_sum) is <= 2**-53, or
+    the underflow rank if smaller: past ``x = 2**(1075/gamma)``, ``x**-gamma`` rounds to 0.0."""
+    with np.errstate(over="ignore"):  # |(gamma)_16| is inf past gamma ~ 1.8e19: the cap binds
+        rising = np.multiply.reduce(np.abs(gamma[:, None] + np.arange(16)), axis=1)
+        reach = (abs(_EM_COEF[-1]) * rising * 2.0**53) ** (1 / 16)
+    # the cap is 2**64 up to gamma = 1075/64, beyond any reach: it binds only for large gamma
+    reach = np.minimum(reach, np.exp2(1075 / np.maximum(gamma, 1075 / 64)) + 1) - q - a
     return np.maximum(0, np.ceil(np.minimum(reach, b - a + 1))).astype(np.int64)
 
 
@@ -81,6 +84,8 @@ def partial_sum(gamma, q, a: int, b: int):
     times the tail.  ``K`` is the least count that makes this factor at most
     ``2**-53`` (11 at ``gamma = 1, q = 0, a = 1``; 95 at ``gamma = 50``; 0
     for large ``a + q``): only rounding is left, a few units in the last place.
+    For large ``gamma``, ``K`` stops at the rank past which every term is 0.0
+    and a tail that starts at 0.0 is dropped: memory is flat for every gamma.
     """
     gamma, q = np.broadcast_arrays(np.asarray(gamma, np.float64), np.asarray(q, np.float64))
     if (q < 0).any():
@@ -96,10 +101,11 @@ def partial_sum(gamma, q, a: int, b: int):
         rows = np.flatnonzero(k == count)
         terms = np.arange(a, a + count, dtype=np.float64) + q[rows, None]
         out[rows] = np.add.reduce(terms ** np.repeat(-gamma[rows], count).reshape(-1, count), axis=1)
-    rows = np.flatnonzero(a + k <= b)
-    g, k = gamma[rows], k[rows]
-    x, y, width = a + k + q[rows], b + q[rows], b - a - k
-    tail, rising = 0.5 * (x ** (-g) + y ** (-g)), g.copy()  # rising = (gamma)_(2n+1)
+    x = a + k + q  # the first tail point
+    first = x ** -gamma
+    rows = np.flatnonzero((a + k <= b) & (first > 0))  # past a term that is 0.0, all are
+    g, x, y, width = gamma[rows], x[rows], b + q[rows], b - a - k[rows]
+    tail, rising = 0.5 * (first[rows] + y ** (-g)), g.copy()  # rising = (gamma)_(2n+1)
     for n, coef in enumerate(_EM_COEF):
         tail += coef * rising * (x ** (-g - 2 * n - 1) - y ** (-g - 2 * n - 1))
         rising *= (g + 2 * n + 1) * (g + 2 * n + 2)
@@ -197,7 +203,7 @@ class MZipfDist:
     Attributes
     ----------
     normalizer : float
-        ``sum_{j=1..m} (j + q)**(-gamma)``.
+        ``sum_{j=1..m} (j + q)**(-gamma)``, by :func:`partial_sum` in O(1).
     probs : numpy.ndarray
         Full pmf over ranks, ``probs[f-1] = p(f)``; read-only.  Built on
         first use (sampling, :meth:`pmf` or a caller); analysis reads
@@ -217,30 +223,27 @@ class MZipfDist:
         if int(self.m) < 1:
             raise DomainError(f"m must be >= 1, got {self.m}")
         object.__setattr__(self, "m", int(self.m))
-        # one _CHUNK of weights at a time: the memory is flat in m
-        norm = math.fsum(float(np.sum(self._weights(i, min(i + _CHUNK, self.m))))
-                         for i in range(0, self.m, _CHUNK))
+        norm = partial_sum(self.gamma, self.q, 1, self.m)
         if not norm > 0:
             raise DomainError(f"gamma = {self.gamma} and q = {self.q} underflow every "
                               "weight (f + q)**-gamma to 0")
         object.__setattr__(self, "normalizer", norm)
         object.__setattr__(self, "_tables", {})  # m_star -> _request_table(m_star)
 
-    def _weights(self, lo: int, hi: int) -> np.ndarray:
-        """``(f + q)**(-gamma)`` for ranks ``f = lo+1..hi``."""
-        w = np.arange(lo + 1, hi + 1, dtype=np.float64)
-        w += self.q
-        w **= -self.gamma
-        return w
+    def _pmf(self, lo: int, hi: int) -> np.ndarray:
+        """``p(f) = (f + q)**(-gamma) / normalizer`` for ranks ``f = lo+1..hi``."""
+        p = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        p += self.q
+        p **= -self.gamma
+        p /= self.normalizer
+        return p
 
     def head(self, k: int) -> np.ndarray:
         """The pmf of ranks ``1..k``, bit-equal to ``probs[:k]``; O(k)."""
         k = int(k)
         if not 0 <= k <= self.m:
             raise DomainError(f"prefix length must be in 0..{self.m}, got {k}")
-        out = self._weights(0, k)
-        out /= self.normalizer
-        return out
+        return self._pmf(0, k)
 
     @cached_property
     def probs(self) -> np.ndarray:

@@ -147,6 +147,32 @@ class TestFit:
                 assert "upper edge" in got["warnings"][0]
                 assert f"warning: {got['warnings'][0]}" in err
 
+    @pytest.mark.parametrize("flag, value", [("--coarse-steps", "0"), ("--refine-rounds", "-1")])
+    def test_search_steps_out_of_range_is_domain_error(self, tmp_path, capsys, flag, value):
+        log = tmp_path / "log.csv"
+        log.write_text("user_id,content_id\nu1,f1\nu2,f1\nu2,f2\n")
+        assert main(["fit", "--log", str(log), flag, value, "--out", str(tmp_path / "o")]) == 2
+        assert "need coarse_steps >= 1 and refine_rounds >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("given, explicit", [
+        (["--gamma-lo", "0.1"], ["--gamma-lo", "0.1", "--gamma-hi", "5.0"]),
+        (["--gamma-hi", "4.0"], ["--gamma-lo", "0.05", "--gamma-hi", "4.0"]),
+        (["--q-hi", "50"], ["--q-lo", "0.0", "--q-hi", "50"]),
+    ])
+    def test_one_sided_search_box_takes_the_other_edge_from_defaults(self, tmp_path, given,
+                                                                     explicit):
+        # the defaults are FitSearch's, and the hashed scenario does not tell them apart
+        log = write_log(tmp_path / "log.csv", synthetic_records(
+            MZipfDist(1.1, 5.0, 300), 2000, 3, np.random.default_rng(4)))
+        results = []
+        for i, flags in enumerate((given, explicit)):
+            out = tmp_path / f"o{i}"
+            assert main(["fit", "--log", log, "--coarse-steps", "4", "--refine-rounds", "0",
+                         *flags, "--out", str(out)]) == 0
+            results.append((out / "fit_result.json").read_bytes())
+        assert results[0] == results[1]
+
     def test_export_empirical(self, tmp_path):
         log = tmp_path / "log.csv"
         log.write_text("user_id,content_id\nu1,f1\nu2,f1\nu2,f2\n")

@@ -194,6 +194,15 @@ class TestDedupe:
         emp = dedupe_accesses(records)
         assert (emp.total, emp.distinct_users, emp.counts.max()) == (70_000, 70_000, 1)
 
+    def test_dense_codes_keep_a_dense_column_without_a_copy(self):
+        # rows straight from load_access_log are coded densely: their columns are the codes
+        records = np.zeros(1000, dtype=LOG_DTYPE)
+        records["user"], records["content"] = np.arange(1000) % 37, np.arange(1000)[::-1] % 101
+        for col, k in (("user", 37), ("content", 101)):
+            codes, n = fitting._dense_codes(records[col])
+            assert n == k and np.shares_memory(codes, records)
+            assert codes.tolist() == records[col].tolist()
+
     def test_validation(self):
         with pytest.raises(DomainError, match="non-increasing"):
             EmpiricalPopularity(np.array([1, 2]), 3, 2)
@@ -373,6 +382,9 @@ class TestFit:
             fit_mzipf(emp, m=300, search=FitSearch(q_range=(-1.0, 5.0)))
         with pytest.raises(DomainError, match="smaller than observed"):
             fit_mzipf(emp, m=10)
+        for search in (FitSearch(coarse_steps=0), FitSearch(refine_rounds=-1)):
+            with pytest.raises(DomainError, match="coarse_steps >= 1 and refine_rounds >= 0"):
+                fit_mzipf(emp, m=300, search=search)
 
 
 class TestSubsample:

@@ -1,4 +1,7 @@
+import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -100,19 +103,58 @@ def test_partial_sum_head_only_is_bit_identical_to_streamed_sum():
                     assert partial_sum(gamma, q, a, b) == streamed_partial_sum(gamma, q, a, b)
 
 
-@pytest.mark.parametrize("m", [1, 1000, (1 << 22) + 3])
-def test_normalizer_and_probs_bit_identical_to_streamed_sum(m):
-    # partial_sum(0.78, 3.5, 1, m) differs from the streamed sum in the last
-    # bits for m > 1, so this fails if MZipfDist normalizes with it
-    d = MZipfDist(gamma=0.78, q=3.5, m=m)
-    norm = streamed_partial_sum(0.78, 3.5, 1, m)
-    assert d.normalizer == norm
-    dense = (np.arange(1, m + 1, dtype=np.float64) + 3.5) ** (-0.78) / norm
+@pytest.mark.parametrize("gamma, q, m", [
+    (0.78, 3.5, 1), (0.78, 3.5, 1000), (0.78, 3.5, (1 << 22) + 3),
+    # the benchmark's laws: sweep-grid, fit-log, fit-wide and wide-library
+    (0.6, 20.0, 1000), (1.28, 34.0, 19_379), (1.28, 34.0, 10**5), (0.6, 20.0, 10**6),
+])
+def test_normalizer_within_one_ulp_and_probs_bit_identical(gamma, q, m):
+    # 1 ulp, not 0: numpy versions may round pow differently in the last bit
+    d = MZipfDist(gamma=gamma, q=q, m=m)
+    want = mpmath_normalizer(gamma, q, m)
+    assert abs(d.normalizer - want) <= math.ulp(want), (d.normalizer, want)
+    dense = (np.arange(1, m + 1, dtype=np.float64) + q) ** (-gamma) / d.normalizer
     for k in sorted({0, 1, 1023, 1024, 1025, m} & set(range(m + 1))):
         assert d.head(k).tobytes() == dense[:k].tobytes(), k
     assert "probs" not in vars(d)  # prefixes never build the full pmf
     assert d.probs.tobytes() == dense.tobytes()
     assert not d.probs.flags.writeable
+
+
+def test_normalizer_is_the_fit_grid_element():
+    # a fit scores (gamma, q) with one element of a broadcast partial_sum call;
+    # the law it reports is normalized by that same number
+    gammas, qs = np.linspace(0.05, 5.0, 7), np.array([0.0, 0.5, 34.0, 19_379.0])
+    grid = partial_sum(gammas[:, None], qs[None, :], 1, 19_379)
+    for (i, g), (j, q) in itertools.product(enumerate(gammas.tolist()), enumerate(qs.tolist())):
+        assert MZipfDist(g, q, 19_379).normalizer == grid[i, j], (g, q)
+
+
+@pytest.mark.parametrize("gamma", [1e3, 1e6, 1e20, 1e300])
+def test_huge_gamma_law_builds_in_flat_memory(gamma):
+    # every rank past 1 underflows: the head stops at the underflow rank, no
+    # tail is summed, and (gamma)_16 overflowing past ~1.8e19 warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tracemalloc.start()
+        try:
+            d = MZipfDist(gamma, 0.0, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert d.normalizer == 1.0
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("gamma", [150.0, 1e3, 1e6, 1e20])  # mpmath takes ~1 min at 1e300
+def test_partial_sum_past_the_underflow_rank_matches_direct_sum(gamma):
+    # past rank 500 every term is below 2**-53 of the sum, or 0.0 with it
+    for q in (0.0, 0.5, 34.0, 1e3):
+        for a in (1, 4):
+            got = partial_sum(gamma, q, a, 500)
+            want = mpmath_normalizer(gamma, q + a - 1, 501 - a)  # ranks a..500, shifted to 1..
+            assert math.isclose(got, want, rel_tol=1e-14), (q, a)
+            assert partial_sum(gamma, q, a, 10**7) == got, (q, a)
 
 
 @pytest.mark.parametrize("k", [-1, 11])

@@ -239,8 +239,8 @@ class TestRealize:
 
 
 def test_analysis_memory_does_not_grow_with_library():
-    # the normalizer holds one 2^22-rank chunk at a time and the placement
-    # reads pmf prefixes only, so 10^7 ranks peak no higher than 2^22
+    # the normalizer is O(1) in m (partial_sum) and the placement reads pmf
+    # prefixes only, so 10^7 ranks peak no higher than 2^22
     cfg = NetworkConfig(n=10_000, n_clusters=100, s=1, k=4)
     peaks = []
     for m in (1 << 22, 10**7):
