@@ -22,8 +22,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import ConfigError, DomainError, InvariantError
 from .fitting import (
@@ -51,8 +49,9 @@ SCENARIO_KEYS = {
 }
 _INT_KEYS = ("n", "m", "n_clusters", "s", "k", "trials", "seed")
 _NUM_KEYS = ("gamma", "q", "c_rate")
-_TAIL_CHUNK = 1 << 16  # ranks per write of policy.csv's zero tail: no m-sized string
-_ZERO_ROW_END = np.frombuffer(b",0.0\r\n", dtype=np.uint8)  # csv.writer's ``rank,0.0`` row
+_TAIL_CHUNK = 1024  # hundreds of ranks per write of policy.csv's zero tail: no m-sized string
+# joined by a prefix k: csv.writer's rows ``rank,0.0`` for the hundred ranks 100k..100k+99
+_HUNDRED = ["", *(f"{i:02d},0.0\r\n" for i in range(100))]
 
 
 def _is_int(v) -> bool:
@@ -78,6 +77,8 @@ def load_scenario(path) -> dict:
     if "fit_result" in raw:
         if any(k in raw for k in ("gamma", "q", "m")):
             raise ConfigError("popularity given twice: fit_result plus gamma/q/m")
+        if not isinstance(raw["fit_result"], str):
+            raise ConfigError("scenario key 'fit_result' must be a path string")
         fr_path = Path(raw["fit_result"])
         if not fr_path.is_absolute():
             fr_path = Path(path).parent / fr_path
@@ -108,15 +109,14 @@ def load_scenario(path) -> dict:
     return raw
 
 
-def _require(scn: dict, keys, where: str):
-    missing = [k for k in keys if k not in scn]
-    if missing:
-        raise ConfigError(f"{where} requires scenario keys: {', '.join(missing)}")
-
-
-def _dist(scn: dict) -> MZipfDist:
-    _require(scn, ("gamma", "q", "m"), "popularity model")
-    return MZipfDist(float(scn["gamma"]), float(scn["q"]), int(scn["m"]))
+def _load(args, *keys) -> tuple[dict, MZipfDist]:
+    """The scenario ``args.scenario``, checked to hold ``keys``, and its popularity law."""
+    scn = load_scenario(args.scenario)
+    for where, need in ((args.command, keys), ("popularity model", ("gamma", "q", "m"))):
+        missing = [k for k in need if k not in scn]
+        if missing:
+            raise ConfigError(f"{where} requires scenario keys: {', '.join(missing)}")
+    return scn, MZipfDist(float(scn["gamma"]), float(scn["q"]), int(scn["m"]))
 
 
 def _network(scn: dict, n_clusters: int) -> NetworkConfig:
@@ -143,13 +143,14 @@ def _configs(scn: dict) -> list[NetworkConfig]:
     return configs
 
 
-def _effective_seed(args, scn: dict) -> int:
+def _seed_and_trials(args, scn: dict) -> tuple[int, int]:
+    """The master seed and trial count: the flags, else the scenario's keys."""
     seed = args.seed if args.seed is not None else scn.get("seed")
     if seed is None:
         raise ConfigError("a seed is required: pass --seed or set 'seed' in the scenario")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    return seed
+    return seed, args.trials if args.trials is not None else scn.get("trials", 100)
 
 
 def _scenario_hash(payload: dict) -> str:
@@ -167,6 +168,14 @@ def _file_sha256(path) -> str:
 
 def _header_line(scn_hash: str, seed) -> str:
     return f"# d2dcache {__version__}, scenario={scn_hash}, seed={'none' if seed is None else seed}"
+
+
+def _csv_writer(fh, scn_hash: str, seed, header: list):
+    """A ``csv.writer`` on ``fh`` after the provenance line and the ``header`` row."""
+    fh.write(_header_line(scn_hash, seed) + "\n")
+    w = csv.writer(fh)
+    w.writerow(header)
+    return w
 
 
 def _meta(scn_hash: str, seed) -> dict:
@@ -286,33 +295,22 @@ def _write_zero_rows(fh, lo: int, hi: int):
     """Rows ``rank,0.0`` for ranks ``lo..hi-1``, byte-identical to one
     ``csv.writer`` row per rank.
 
-    The rows are rendered as ASCII by numpy, one write per block of at most
-    ``_TAIL_CHUNK`` ranks that share a digit count.  The digits are filled
-    right to left by repeated division by 10, each into a contiguous row of
-    ``cols`` (``//`` and a multiply-subtract: numpy's ``divmod`` and strided
-    column stores were each about twice as slow).
+    The ranks of a whole hundred 100k..100k+99 share the prefix ``str(k)``,
+    so each is one ``str(k).join(_HUNDRED)``, written ``_TAIL_CHUNK``
+    hundreds at a time.  The ranks before the first whole hundred and after
+    the last (fewer than 100 at each end, or all when there is none) are
+    one f-string each.
     """
-    while lo < hi:
-        digits = len(str(lo))
-        top = min(hi, 10 ** digits, lo + _TAIL_CHUNK)
-        ranks = np.arange(lo, top)
-        cols = np.empty((digits, top - lo), dtype=np.uint8)
-        for col in range(digits - 1, -1, -1):
-            quot = ranks // 10
-            cols[col] = ranks - 10 * quot
-            ranks = quot
-        cols += ord("0")
-        rows = np.empty((top - lo, digits + len(_ZERO_ROW_END)), dtype=np.uint8)
-        rows[:, :digits] = cols.T
-        rows[:, digits:] = _ZERO_ROW_END
-        fh.write(rows.tobytes().decode("ascii"))
-        lo = top
+    first = -(-lo // 100)  # lo >= 1, so first >= 1: hundred 0 would print rank 5 as "005"
+    stop = max(first, hi // 100)  # the hundreds first..stop-1 lie wholly in lo..hi-1
+    fh.write("".join(f"{r},0.0\r\n" for r in range(lo, min(hi, 100 * first))))
+    for k in range(first, stop, _TAIL_CHUNK):
+        fh.write("".join(str(j).join(_HUNDRED) for j in range(k, min(k + _TAIL_CHUNK, stop))))
+    fh.write("".join(f"{r},0.0\r\n" for r in range(100 * stop, hi)))
 
 
 def cmd_policy(args) -> int:
-    scn = load_scenario(args.scenario)
-    _require(scn, ("n", "n_clusters"), "policy")
-    dist = _dist(scn)
+    scn, dist = _load(args, "n", "n_clusters")
     cfg = _network(scn, int(scn["n_clusters"]))
     policy = waterfill(dist, cfg.s, cfg.g_c)
     hit = _served_probability(cfg, dist, policy)
@@ -320,9 +318,7 @@ def cmd_policy(args) -> int:
     scn_hash = _scenario_hash({"command": "policy", **scn})
     out = _out_dir(args)
     with open(out / "policy.csv", "w", newline="") as fh:
-        fh.write(_header_line(scn_hash, None) + "\n")
-        w = csv.writer(fh)
-        w.writerow(["rank", "p_c"])
+        w = _csv_writer(fh, scn_hash, None, ["rank", "p_c"])
         w.writerows(zip(range(1, policy.m_star + 1), map(repr, policy.probs.tolist())))
         _write_zero_rows(fh, policy.m_star + 1, policy.m + 1)
     _write_json(
@@ -349,18 +345,14 @@ def cmd_policy(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    scn = load_scenario(args.scenario)
-    _require(scn, ("n", "cluster_counts"), "analyze")
-    dist = _dist(scn)
+    scn, dist = _load(args, "n", "cluster_counts")
     configs = _configs(scn)
     points = [p for cfg in configs
               for p in curve_points(cfg, dist, waterfill(dist, cfg.s, cfg.g_c))]
     scn_hash = _scenario_hash({"command": "analyze", **scn})
     out = _out_dir(args)
     with open(out / "theory_curves.csv", "w", newline="") as fh:
-        fh.write(_header_line(scn_hash, None) + "\n")
-        w = csv.writer(fh)
-        w.writerow(["g_c", "outage", "throughput", "source", "clamped"])
+        w = _csv_writer(fh, scn_hash, None, ["g_c", "outage", "throughput", "source", "clamped"])
         for p in sorted(points, key=lambda p: (p.g_c, p.source)):
             w.writerow([p.g_c, repr(p.outage), repr(p.throughput), p.source, p.clamped])
     skipped = len(scn["cluster_counts"]) - len(configs)
@@ -369,18 +361,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scn = load_scenario(args.scenario)
-    _require(scn, ("n", "n_clusters"), "simulate")
-    dist = _dist(scn)
+    scn, dist = _load(args, "n", "n_clusters")
     cfg = _network(scn, int(scn["n_clusters"]))
-    seed = _effective_seed(args, scn)
-    trials = args.trials if args.trials is not None else scn.get("trials", 100)
+    seed, trials = _seed_and_trials(args, scn)
     policy = waterfill(dist, cfg.s, cfg.g_c)
     res = monte_carlo(cfg, dist, policy, trials, seed)
     exact_outage = 1.0 - _served_probability(cfg, dist, policy)
-    scn_hash = _scenario_hash(
-        {"command": "simulate", **scn, "trials": trials, "seed": seed}
-    )
+    scn_hash = _scenario_hash({"command": "simulate", **scn, "trials": trials, "seed": seed})
     out = _out_dir(args)
     _write_json(
         out / "sim_result.json",
@@ -408,26 +395,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    scn = load_scenario(args.scenario)
-    _require(scn, ("n", "cluster_counts"), "sweep")
-    dist = _dist(scn)
-    seed = _effective_seed(args, scn)
-    trials = args.trials if args.trials is not None else scn.get("trials", 100)
+    scn, dist = _load(args, "n", "cluster_counts")
+    seed, trials = _seed_and_trials(args, scn)
     configs = _configs(scn)
     points = sweep(configs, dist, trials, seed)
-    scn_hash = _scenario_hash(
-        {"command": "sweep", **scn, "trials": trials, "seed": seed}
-    )
+    scn_hash = _scenario_hash({"command": "sweep", **scn, "trials": trials, "seed": seed})
     out = _out_dir(args)
     n = int(scn["n"])
     exact = {p.g_c: p.outage for p in points if p.source == "exact_sum"}
     with open(out / "tradeoff.csv", "w", newline="") as fh:
-        fh.write(_header_line(scn_hash, seed) + "\n")
-        w = csv.writer(fh)
-        w.writerow(
-            ["n_clusters", "g_c", "outage", "outage_stderr",
-             "throughput", "throughput_stderr", "source", "outage_z"]
-        )
+        w = _csv_writer(fh, scn_hash, seed, ["n_clusters", "g_c", "outage", "outage_stderr",
+                                             "throughput", "throughput_stderr", "source",
+                                             "outage_z"])
         for p in points:
             simulated = p.source == "simulated"
             z = _outage_z(p.outage, exact[p.g_c], p.outage_stderr) if simulated else None
@@ -449,10 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_help):
-        p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--seed", type=int, default=None, help=seed_help)
-
     p_fit = sub.add_parser("fit", help="fit popularity parameters to an access log")
     p_fit.add_argument("--log", required=True, help="CSV access log: user_id,content_id[,timestamp]")
     p_fit.add_argument("--m", type=int, default=None, help="library size (default: observed contents)")
@@ -469,29 +444,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", default=".", help="output directory (default: .)")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_pol = sub.add_parser("policy", help="optimal caching policy for one scenario")
-    p_pol.add_argument("--scenario", required=True)
-    p_pol.add_argument("--out", default=".")
-    p_pol.set_defaults(func=cmd_policy)
-
-    p_ana = sub.add_parser("analyze", help="exact and closed-form curves, no simulation")
-    p_ana.add_argument("--scenario", required=True)
-    p_ana.add_argument("--out", default=".")
-    p_ana.set_defaults(func=cmd_analyze)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo estimate at one cluster count")
-    p_sim.add_argument("--scenario", required=True)
-    common(p_sim, "master seed (required here or in the scenario)")
-    p_sim.add_argument("--trials", type=int, default=None)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_swp = sub.add_parser("sweep", help="full tradeoff sweep with overlays")
-    p_swp.add_argument("--scenario", required=True)
-    common(p_swp, "master seed (required here or in the scenario)")
-    p_swp.add_argument("--trials", type=int, default=None)
+    for name, func, help_text in (
+        ("policy", cmd_policy, "optimal caching policy for one scenario"),
+        ("analyze", cmd_analyze, "exact and closed-form curves, no simulation"),
+        ("simulate", cmd_simulate, "Monte Carlo estimate at one cluster count"),
+        ("sweep", cmd_sweep, "full tradeoff sweep with overlays"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--scenario", required=True)
+        p.add_argument("--out", default=".", help="output directory (default: .)")
+        if name in ("simulate", "sweep"):
+            p.add_argument("--seed", type=int, default=None,
+                           help="master seed (required here or in the scenario)")
+            p.add_argument("--trials", type=int, default=None)
+        p.set_defaults(func=func)
     # accepted only as 1 and never read: bench/workloads.py still passes --workers 1
-    p_swp.add_argument("--workers", type=int, choices=[1], help=argparse.SUPPRESS)
-    p_swp.set_defaults(func=cmd_sweep)
+    sub.choices["sweep"].add_argument("--workers", type=int, choices=[1], help=argparse.SUPPRESS)
 
     return parser
 

@@ -49,6 +49,8 @@ __all__ = [
 
 
 def _isqrt_exact(x: int) -> int | None:
+    if x < 0:
+        return None
     r = math.isqrt(x)
     return r if r * r == x else None
 

@@ -1,5 +1,6 @@
 """End-to-end CLI tests driven through main(argv)."""
 
+import argparse
 import codecs
 import contextlib
 import io
@@ -341,16 +342,21 @@ class TestPolicyCsvWriter:
         assert self.table(tmp_path, m, n_clusters) == 0
 
     # at g_c = 100 the support is ranks 1..214 for every m >= 214: the level
-    # scan does not see the pmf's normalization
-    @pytest.mark.parametrize("tail", [1, 7, 8, 9, 15, 16, 17])
-    def test_tails_around_small_chunks(self, tmp_path, monkeypatch, tail):
-        monkeypatch.setattr(cli, "_TAIL_CHUNK", 8)
-        assert self.table(tmp_path, 214 + tail, 100) == tail
+    # scan does not see the pmf's normalization, and the tail's first whole
+    # hundred is ranks 300..399.  Two hundreds per write: m = 599 and 800
+    # take two and three writes, m = 299, 399 and 599 end on a whole hundred
+    @pytest.mark.parametrize("m", [215, 299, 399, 400, 599, 600, 800])
+    def test_tails_around_small_chunks(self, tmp_path, monkeypatch, m):
+        monkeypatch.setattr(cli, "_TAIL_CHUNK", 2)
+        assert self.table(tmp_path, m, 100) == m - 214
 
-    @pytest.mark.parametrize("off", [-1, 0, 1])
+    # off = 0 ends the tail on the last rank of the first full write of
+    # whole hundreds; -1 and +1 put one rank on either side of it, +100 one
+    # more hundred, which is a second write
+    @pytest.mark.parametrize("off", [-1, 0, 1, 100])
     def test_tail_at_chunk_boundary(self, tmp_path, off):
-        tail = cli._TAIL_CHUNK + off
-        assert self.table(tmp_path, 214 + tail, 100) == tail
+        m = 100 * (3 + cli._TAIL_CHUNK) - 1 + off
+        assert self.table(tmp_path, m, 100) == m - 214
 
     @pytest.mark.parametrize("m", [999, 1000, 9999, 10_000])
     def test_library_at_power_of_ten(self, tmp_path, m):
@@ -358,8 +364,10 @@ class TestPolicyCsvWriter:
 
 
 # (lo, m): the zero rows of ranks lo..m; every digit boundary from 9 -> 10 to
-# 999 999 -> 1 000 000 is crossed, m = 10^k and m = 10^k - 1 for k = 1..6
-ZERO_TAILS = [(1, 10**6), (2, 9), (2, 10)] + [
+# 999 999 -> 1 000 000 is crossed, m = 10^k and m = 10^k - 1 for k = 1..6, and
+# ranges inside one hundred, up to one, across one and on either side of one
+ZERO_TAILS = [(1, 10**6), (2, 9), (2, 10), (150, 160), (1, 99), (99, 201), (100, 100),
+              (199, 301)] + [
     case for k in range(2, 7)
     for case in [(10**k - 3, 10**k + 2), (2, 10**k - 1), (2, 10**k), (10**k, 10**k)]
 ]
@@ -390,10 +398,19 @@ class TestZeroRowWriter:
     def test_matches_rowwise_writer(self, rows, lo, m):
         self.check(rows, lo, m)
 
-    @pytest.mark.parametrize("lo, m", [(1, 10_000), (5, 1002), (95, 105)])
+    # three hundreds per write: every case but (95, 105) crosses writes and hundreds
+    @pytest.mark.parametrize("lo, m", [(1, 10_000), (5, 1002), (95, 105), (150, 749)])
     def test_small_blocks(self, rows, monkeypatch, lo, m):
-        monkeypatch.setattr(cli, "_TAIL_CHUNK", 7)
+        monkeypatch.setattr(cli, "_TAIL_CHUNK", 3)
         self.check(rows, lo, m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bounds=st.tuples(st.integers(1, 3 * 10**4), st.integers(1, 3 * 10**4)),
+           chunk=st.sampled_from([1, 3]))
+    def test_any_range_matches_rowwise_writer(self, rows, bounds, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_TAIL_CHUNK", chunk)
+            self.check(rows, min(bounds), max(bounds))
 
     def test_empty_range_writes_nothing(self):
         fh = io.StringIO()
@@ -615,6 +632,26 @@ class TestSharedCurves:
         assert len(want) > 7 and got == want
 
 
+def test_subcommand_options():
+    """Each subcommand takes exactly these flags; only sweep takes the hidden --workers."""
+    scenario = {"-h", "--help", "--scenario", "--out"}
+    seeded = scenario | {"--seed", "--trials"}
+    want = {
+        "fit": {"-h", "--help", "--log", "--m", "--gamma-lo", "--gamma-hi", "--q-lo", "--q-hi",
+                "--coarse-steps", "--refine-rounds", "--since", "--until",
+                "--export-empirical", "--out"},
+        "policy": scenario,
+        "analyze": scenario,
+        "simulate": seeded,
+        "sweep": seeded | {"--workers"},
+    }
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: {flag for a in p._actions for flag in a.option_strings}
+           for name, p in sub.choices.items()}
+    assert got == want
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids,
@@ -716,6 +753,21 @@ class TestScenarioValidation:
         rc = main(["policy", "--scenario", scn, "--out", str(tmp_path)])
         assert rc == 2
         assert "'m'" in capsys.readouterr().err
+
+    def test_fit_result_not_a_path_string(self, tmp_path, capsys):
+        scn = scenario_file(tmp_path / "s.json", n=10000, fit_result=5, n_clusters=100)
+        assert main(["policy", "--scenario", scn, "--out", str(tmp_path)]) == 2
+        assert "'fit_result' must be a path string" in capsys.readouterr().err
+
+    def test_negative_cluster_count(self, tmp_path, capsys):
+        scn = scenario_file(tmp_path / "s.json", **FIG_SCENARIO, n_clusters=-4,
+                            cluster_counts=[-4, 16])
+        assert main(["policy", "--scenario", scn, "--out", str(tmp_path / "o")]) == 2
+        assert "n_clusters must be a positive perfect square" in capsys.readouterr().err
+        assert main(["analyze", "--scenario", scn, "--out", str(tmp_path / "o")]) == 0
+        assert "cluster count -4 skipped" in capsys.readouterr().err
+        _, _, rows = read_table(tmp_path / "o" / "theory_curves.csv")
+        assert rows and {r["g_c"] for r in rows} == {"625"}
 
     def test_bad_cluster_counts(self, tmp_path):
         scn = tmp_path / "s.json"

@@ -64,6 +64,10 @@ class TestConfig:
             NetworkConfig(n=100, n_clusters=25, s=0)
         with pytest.raises(ConfigError):
             NetworkConfig(n=100, n_clusters=25, k=0)
+        with pytest.raises(ConfigError, match="perfect square"):
+            NetworkConfig(n=-4, n_clusters=1)
+        with pytest.raises(ConfigError, match="perfect square"):
+            NetworkConfig(n=100, n_clusters=-4)
 
     def test_cluster_size_is_forced_square(self):
         # two nested perfect squares make g_c a perfect square >= 4, so the
