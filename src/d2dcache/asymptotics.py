@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, RegimeError
 from .policy import _exponent_denom, solve_cutoff_constant
-from .popularity import _power_integral
+from .popularity import _check_law, _power_integral
 
 __all__ = [
     "RegimeParams",
@@ -72,12 +72,7 @@ class RegimeParams:
     c_rate: float = 1.0
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise DomainError(f"gamma must be > 0, got {self.gamma}")
-        if self.q < 0:
-            raise DomainError(f"q must be >= 0, got {self.q}")
-        if self.m < 1:
-            raise DomainError(f"m must be >= 1, got {self.m}")
+        _check_law(self.gamma, self.q, self.m)
         if self.k < 1 or not self.c_rate > 0:
             raise DomainError("need k >= 1 and c_rate > 0")
         _exponent_denom(self.s, self.g_c)

@@ -54,8 +54,9 @@ _TAIL_CHUNK = 1024  # hundreds of ranks per write of policy.csv's zero tail: no 
 _HUNDRED = ["", *(f"{i:02d},0.0\r\n" for i in range(100))]
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _is_int(v, bound=2**63) -> bool:
+    """``v`` is an int, not a bool, in ``-bound..bound-1``: by default, an int64."""
+    return isinstance(v, int) and not isinstance(v, bool) and -bound <= v < bound
 
 
 def load_scenario(path) -> dict:
@@ -92,8 +93,10 @@ def load_scenario(path) -> dict:
             raw[k] = fr[k]
         del raw["fit_result"]
     for k in _INT_KEYS:
-        if k in raw and not _is_int(raw[k]):
-            raise ConfigError(f"scenario key {k!r} must be an integer")
+        # a SeedSequence takes any seed; every other integer key reaches int64 arithmetic
+        if k in raw and not _is_int(raw[k], math.inf if k == "seed" else 2**63):
+            raise ConfigError(f"scenario key {k!r} must be an integer"
+                              + ("" if k == "seed" else " within int64"))
     for k in _NUM_KEYS:
         v = raw.get(k, 0.0)
         # NaN, infinities and integers too large for a float all fail the range test
@@ -105,7 +108,7 @@ def load_scenario(path) -> dict:
     if "cluster_counts" in raw:
         cc = raw["cluster_counts"]
         if not isinstance(cc, list) or not cc or not all(_is_int(v) for v in cc):
-            raise ConfigError("scenario key 'cluster_counts' must be a non-empty integer list")
+            raise ConfigError("scenario key 'cluster_counts' must be a non-empty int64 list")
     return raw
 
 
@@ -150,6 +153,8 @@ def _seed_and_trials(args, scn: dict) -> tuple[int, int]:
         raise ConfigError("a seed is required: pass --seed or set 'seed' in the scenario")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    if args.trials is not None and not _is_int(args.trials):
+        raise ConfigError(f"--trials must be an integer within int64, got {args.trials}")
     return seed, args.trials if args.trials is not None else scn.get("trials", 100)
 
 

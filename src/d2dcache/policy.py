@@ -102,24 +102,21 @@ def waterfill(dist: MZipfDist, s: int, g_c: int) -> CachingPolicy:
     1/z_f``, the support grows while ``z_{m+1} > nu_m`` and stops at the
     unique cutoff where ``z_{m_star} >= nu`` and the next tilted popularity
     falls below the level.  O(m_star): the scan's prefix of the pmf doubles,
-    capped at m, until it holds the cutoff; each doubling extends ``z`` and the
-    sequential running sum, so the result does not depend on the prefix length.
+    capped at m, until it holds the cutoff; each doubling extends ``z`` and
+    takes the running sum afresh.  ``cumsum`` adds in order, so the result does
+    not depend on the prefix length.
     """
     phi = _exponent_denom(s, g_c)
     m = dist.m
-    z = inv_sum = np.empty(0)
-    lo, k = 0, min(_FIRST_PREFIX, m)
+    z, k = np.empty(0), min(_FIRST_PREFIX, m)
     while True:
-        z = np.concatenate((z, dist._pmf(lo, k) ** (1.0 / phi)))
-        # the running sum of 1/z goes on from its last value, as one cumsum would
-        tail = np.cumsum(np.concatenate((inv_sum[-1:], 1.0 / z[lo:])))
-        inv_sum = np.concatenate((inv_sum[:-1], tail))
-        nu_at = np.arange(k, dtype=np.float64) / inv_sum
+        z = np.concatenate((z, dist._pmf(len(z), k) ** (1.0 / phi)))
+        nu_at = np.arange(k, dtype=np.float64) / np.cumsum(1.0 / z)
         # first m with z[m+1] <= nu_m ends the support; otherwise all of 1..m
         below = np.nonzero(z[1:] <= nu_at[:-1])[0]
         if below.size or k == m:
             break
-        lo, k = k, min(2 * k, m)
+        k = min(2 * k, m)
     m_star = int(below[0]) + 1 if below.size else m
     nu = float(nu_at[m_star - 1])
     probs = 1.0 - nu / z[:m_star]

@@ -52,6 +52,18 @@ def _head_terms(gamma: np.ndarray, q: np.ndarray, a: int, b: int) -> np.ndarray:
     return np.maximum(0, np.ceil(np.minimum(reach, b - a + 1))).astype(np.int64)
 
 
+def _check_law(gamma: float, q: float, m: int) -> int:
+    """``int(m)``, once ``0 < gamma < inf``, ``0 <= q < inf`` and ``1 <= m < 2**63`` hold:
+    the domain of a law, checked alike by :class:`MZipfDist` and the closed forms."""
+    if not 0 < gamma < math.inf:
+        raise DomainError(f"gamma must be finite and > 0, got {gamma}")
+    if not 0 <= q < math.inf:
+        raise DomainError(f"q must be finite and >= 0, got {q}")
+    if not 1 <= int(m) < 2**63:
+        raise DomainError(f"m must be in 1..2**63 - 1, got {m}")
+    return int(m)
+
+
 def _power_integral(gamma: float, x: float, width: float) -> float:
     """``integral_x^(x+width) t**(-gamma) dt``, continuous through ``gamma = 1``;
     anchored at the larger power, so that ``expm1`` gets an argument <= 0.
@@ -88,7 +100,9 @@ def partial_sum(gamma, q, a: int, b: int):
     and a tail that starts at 0.0 is dropped: memory is flat for every gamma.
     """
     gamma, q = np.broadcast_arrays(np.asarray(gamma, np.float64), np.asarray(q, np.float64))
-    if (q < 0).any():
+    if np.isnan(gamma).any():
+        raise DomainError("gamma must not be NaN")
+    if not (q >= 0).all():  # NaN fails too
         raise DomainError(f"q must be >= 0, got {q.min()}")
     a, b = int(a), int(b)
     if a < 1 or b < a:
@@ -216,13 +230,7 @@ class MZipfDist:
     normalizer: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0 < self.gamma < math.inf:
-            raise DomainError(f"gamma must be finite and > 0, got {self.gamma}")
-        if not 0 <= self.q < math.inf:
-            raise DomainError(f"q must be finite and >= 0, got {self.q}")
-        if int(self.m) < 1:
-            raise DomainError(f"m must be >= 1, got {self.m}")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _check_law(self.gamma, self.q, self.m))
         norm = partial_sum(self.gamma, self.q, 1, self.m)
         if not norm > 0:
             raise DomainError(f"gamma = {self.gamma} and q = {self.q} underflow every "

@@ -17,9 +17,9 @@ it can only come from a bookkeeping bug.
 
 Draws invert a cdf through ``max(L, min(16L, 2**22))`` guide buckets for ``L``
 ranks: caches over the policy's support ``1..m_star``, requests over ``1..m_star``
-plus one bucket for all later ranks.  A table with a row per cluster and a column
-per rank up to the largest cached one counts who holds what; its empty column 0
-takes every later request.  Memory is O(n*s + n_clusters*m_star) whatever ``m``.
+plus one bucket ``m_star + 1`` for all later ranks.  A table with a row per cluster
+and a column per rank up to ``m_star + 1`` counts who holds what; no cache holds
+rank ``m_star + 1``.  Memory is O(n*s + n_clusters*m_star) whatever ``m``.
 """
 
 from __future__ import annotations
@@ -48,11 +48,8 @@ __all__ = [
 ]
 
 
-def _isqrt_exact(x: int) -> int | None:
-    if x < 0:
-        return None
-    r = math.isqrt(x)
-    return r if r * r == x else None
+def _is_square(x: int) -> bool:
+    return x >= 0 and math.isqrt(x) ** 2 == x
 
 
 @dataclass(frozen=True)
@@ -67,11 +64,9 @@ class NetworkConfig:
     include_self_cache: bool = False
 
     def __post_init__(self):
-        side = _isqrt_exact(self.n)
-        if self.n < 4 or side is None:
+        if self.n < 4 or not _is_square(self.n):
             raise ConfigError(f"n must be a perfect square >= 4, got {self.n}")
-        tiles = _isqrt_exact(self.n_clusters)
-        if self.n_clusters < 1 or tiles is None:
+        if self.n_clusters < 1 or not _is_square(self.n_clusters):
             raise ConfigError(
                 f"n_clusters must be a positive perfect square, got {self.n_clusters}"
             )
@@ -108,7 +103,7 @@ class NetworkConfig:
 @dataclass(frozen=True)
 class Realization:
     caches: np.ndarray  # (n, s) cached file per slot
-    requests: np.ndarray  # (n,) requested rank, 0 when above every rank a cache holds
+    requests: np.ndarray  # (n,) requested rank, m_star + 1 for any rank past the support
     linked: np.ndarray  # (n,) bool, request held by another cluster member
     self_hit: np.ndarray  # (n,) bool, request in own cache
     served: np.ndarray  # (n,) bool
@@ -126,10 +121,9 @@ def realize(config: NetworkConfig, dist, policy: CachingPolicy,
     caches = _invert(policy._table, rng.random((n, s)))
     requests = _invert(dist._request_table(policy.m_star), rng.random(n))
 
-    # one column per rank up to the largest cached one; ranks start at 1, so
-    # column 0 stays empty and takes the requests above every cached rank
-    width = int(caches.max()) + 1
-    requests *= requests < width  # branch-free: a masked store mispredicts on a mixed mask
+    # one column per rank 1..m_star + 1 (column 0 stays empty); no cache holds the
+    # last one, the request bucket of every rank past the support
+    width = policy.m_star + 2
     held = np.bincount((clusters[:, None] * width + caches).ravel(),
                        minlength=config.n_clusters * width)
     own = caches == requests[:, None]

@@ -357,6 +357,14 @@ class TestRegimeParams:
         with pytest.raises(DomainError, match="cluster too small"):
             RegimeParams(0.6, 5.0, 1000, 1, 2)
 
+    @pytest.mark.parametrize("gamma,q", [(math.inf, 1.0), (math.nan, 1.0),
+                                         (0.6, math.nan), (0.6, math.inf)])
+    def test_rejects_non_finite_parameters(self, gamma, q):
+        # before the check, gamma = inf divided by zero in theory_points and a
+        # non-finite q gave NaN outages
+        with pytest.raises(DomainError, match="finite"):
+            theory_points(RegimeParams(gamma, q, 1000, 1, 100))
+
     def test_saturation_marks_support_boundary(self):
         # crossing saturation_g_c is exactly where rho crosses gamma
         p_lo = RegimeParams(0.6, 20.0, 1000, 1, 400)

@@ -703,6 +703,27 @@ class TestScenarioValidation:
             assert "must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_integers_outside_int64_rejected(self, tmp_path, capsys):
+        cases = [
+            ("analyze", dict(FIG_SCENARIO, m=10**30, cluster_counts=[100]), []),
+            ("analyze", dict(FIG_SCENARIO, cluster_counts=[100, 2**64]), []),
+            ("policy", dict(FIG_SCENARIO, n=-(2**63) - 1, n_clusters=100), []),
+            ("simulate", dict(FIG_SCENARIO, n_clusters=100, trials=2**64, seed=1), []),
+            ("simulate", dict(FIG_SCENARIO, n_clusters=100, seed=1), ["--trials", str(2**64)]),
+        ]
+        for i, (cmd, body, flags) in enumerate(cases):
+            scn = scenario_file(tmp_path / f"s{i}.json", **body)
+            assert main([cmd, "--scenario", scn, *flags, "--out", str(tmp_path / "o")]) == 2
+            assert "int64" in capsys.readouterr().err, body
+        assert not (tmp_path / "o").exists()
+
+    def test_int64_edges_accepted(self, tmp_path):
+        # the seed feeds a SeedSequence, which takes any integer
+        scn = scenario_file(tmp_path / "s.json", **dict(FIG_SCENARIO, m=2**63 - 1),
+                            cluster_counts=[100], n_clusters=100, trials=2, seed=2**64)
+        assert main(["analyze", "--scenario", scn, "--out", str(tmp_path / "o")]) == 0
+        assert main(["simulate", "--scenario", scn, "--out", str(tmp_path / "o")]) == 0
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         scn = tmp_path / "s.json"
         scn.write_text('{"n": 100, "bogus": 1}')

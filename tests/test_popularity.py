@@ -279,6 +279,21 @@ def test_rejects_non_finite_parameters():
             MZipfDist(gamma=gamma, q=q, m=10)
 
 
+def test_rejects_a_library_past_int64():
+    with pytest.raises(DomainError, match=r"2\*\*63"):
+        MZipfDist(gamma=0.6, q=1.0, m=2**63)
+    assert MZipfDist(gamma=0.6, q=1.0, m=2**63 - 1).m == 2**63 - 1
+
+
+def test_partial_sum_rejects_nan():
+    with pytest.raises(DomainError, match="q must be >= 0"):
+        partial_sum(1.0, math.nan, 1, 100)
+    with pytest.raises(DomainError, match="gamma must not be NaN"):
+        partial_sum(math.nan, 0.0, 1, 100)
+    with pytest.raises(DomainError, match="gamma must not be NaN"):
+        partial_sum(np.array([1.0, math.nan]), 0.0, 1, 100)
+
+
 def test_rejects_a_normalizer_that_underflows():
     # (1 + q)**-gamma < 1e-600: every weight, and so the normalizer, is 0.0
     with pytest.raises(DomainError, match=r"gamma = 300.0 and q = 100.0 underflow"):

@@ -184,9 +184,9 @@ class TestRealize:
         for seed in range(3):
             got = realize(cfg, dist, policy, np.random.default_rng(seed))
             want = dense_table_realize(cfg, dist, policy, np.random.default_rng(seed))
-            # ranks above every cached one come back as 0, the held table's empty column
-            want = dataclasses.replace(want, requests=np.where(
-                want.requests >= want.caches.max() + 1, 0, want.requests))
+            # ranks past the support come back as m_star + 1, the request table's last bucket
+            want = dataclasses.replace(want, requests=np.minimum(
+                want.requests, policy.m_star + 1))
             for f in dataclasses.fields(Realization):
                 a, b = getattr(got, f.name), getattr(want, f.name)
                 assert np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype, f.name
@@ -203,8 +203,40 @@ class TestRealize:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.any(real.requests == 0)
+        assert np.any(real.requests == policy.m_star + 1)
         assert peak < 200e6
+
+    def test_request_past_the_support_is_never_served(self):
+        # g_c = 4, s = 2: the support is 25 of 1000 ranks, so many requests land past it
+        dist = MZipfDist(0.6, 20.0, 1000)
+        cfg = NetworkConfig(n=10_000, n_clusters=2500, s=2, include_self_cache=True)
+        policy = waterfill(dist, cfg.s, cfg.g_c)
+        real = realize(cfg, dist, policy, np.random.default_rng(0))
+        later = real.requests == policy.m_star + 1
+        assert later.any() and real.requests.max() == policy.m_star + 1
+        assert not (real.linked[later].any() or real.self_hit[later].any()
+                    or real.served[later].any())
+        assert real.served[~later].any()
+
+    def test_width_is_m_star_plus_two_when_the_support_is_the_library(self, monkeypatch):
+        dist = MZipfDist(1.0, 0.0, 5)
+        cfg = NetworkConfig(n=400, n_clusters=4, s=1)
+        policy = waterfill(dist, cfg.s, cfg.g_c)
+        assert policy.m_star == dist.m
+        minlengths = []
+
+        def spy(x, weights=None, minlength=0, bincount=np.bincount):
+            minlengths.append(minlength)
+            return bincount(x, weights=weights, minlength=minlength)
+
+        monkeypatch.setattr(np, "bincount", spy)
+        real = realize(cfg, dist, policy, np.random.default_rng(0))
+        monkeypatch.undo()
+        # the held table, then the linked users per cluster
+        assert minlengths == [cfg.n_clusters * (policy.m_star + 2), cfg.n_clusters]
+        assert real.requests.max() <= dist.m
+        want = dense_table_realize(cfg, dist, policy, np.random.default_rng(0))
+        assert real.linked.tolist() == want.linked.tolist()
 
     def test_memory_does_not_grow_with_library(self):
         # a request table over all m = 10^7 ranks would take about 4 * 8m bytes
