@@ -270,6 +270,9 @@ _POW10 = 10 ** np.arange(16, dtype=np.int64)
 _RIGHT = np.arange(16) >= 16 - np.arange(17)[:, None]  # row k: the last k of 16 columns
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
 _BYTE_SUM = np.uint64(0x0101010101010101)  # the top byte of w * _BYTE_SUM sums w's bytes
+# (multiplier, shift, mask) of Lemire's steps folding 8 digits, the first in the low byte
+_FOLD = [tuple(map(np.uint64, step)) for step in ((10 << 8 | 1, 8, 0x00FF00FF00FF00FF),
+         (100 << 16 | 1, 16, 0x0000FFFF0000FFFF), (10000 << 32 | 1, 32, 0xFFFFFFFF))]
 _windows = np.lib.stride_tricks.sliding_window_view
 _ESCAPED = re.compile("[\udc80-\udcff]")
 
@@ -390,7 +393,10 @@ def _stamps(raw, lo, hi):
     n_digits, n_points = (((w[:, 0] + w[:, 1]) * _BYTE_SUM >> np.uint64(56)).astype(np.int64)
                           for w in (digit.view(np.uint64), point.view(np.uint64)))
     ok = (n_digits + n_points == size[short]) & (n_points <= 1) & (n_digits >= 1)
-    whole = (digit * (c - np.uint8(48))) @ _POW10[::-1]  # the point read as a 0 digit
+    word = (digit * (c - np.uint8(48))).view("<u8")  # the point read as a 0 digit
+    for mul, shift, mask in _FOLD:
+        word = word * mul >> shift & mask
+    whole = (word[:, 0] * np.uint64(10**8) + word[:, 1]).astype(np.int64)
     frac = np.zeros(len(short), dtype=np.int64)
     dot = np.flatnonzero(n_points == 1)
     frac[dot] = 15 - point[dot].argmax(axis=1)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -236,7 +236,6 @@ class MZipfDist:
             raise DomainError(f"gamma = {self.gamma} and q = {self.q} underflow every "
                               "weight (f + q)**-gamma to 0")
         object.__setattr__(self, "normalizer", norm)
-        object.__setattr__(self, "_tables", {})  # m_star -> _request_table(m_star)
 
     def _pmf(self, lo: int, hi: int) -> np.ndarray:
         """``p(f) = (f + q)**(-gamma) / normalizer`` for ranks ``f = lo+1..hi``."""
@@ -259,15 +258,14 @@ class MZipfDist:
         probs.flags.writeable = False
         return probs
 
+    @lru_cache(maxsize=1)
     def _request_table(self, m_star: int) -> tuple[np.ndarray, np.ndarray]:
         """Inversion table over ranks ``1..m_star`` plus one bucket for all later ranks
-        (over ``1..m`` at ``m_star = m``), built on first use.  ``cumsum`` is sequential, so
-        a uniform gets the full table's rank wherever that is ``<= m_star``."""
-        if m_star not in self._tables:
-            # the top edge is forced to 1.0, so the mass appended past m_star is never read
-            probs = self.probs if m_star == self.m else np.append(self.head(m_star), 0.0)
-            self._tables.setdefault(m_star, _guide_table(probs))
-        return self._tables[m_star]
+        (over ``1..m`` at ``m_star = m``).  ``cumsum`` is sequential, so a uniform gets
+        the full table's rank wherever that is ``<= m_star``.  The last table built is kept."""
+        # the top edge is forced to 1.0, so the mass appended past m_star is never read
+        probs = self.probs if m_star == self.m else np.append(self.head(m_star), 0.0)
+        return _guide_table(probs)
 
     def pmf(self, f):
         """Probability of rank ``f`` (scalar or array of ints in ``1..m``)."""
@@ -285,12 +283,9 @@ class MZipfDist:
         table, O(m) memory; after that a draw costs O(1) expected time, in
         chunks that keep very large requests in flat memory.
         """
-        if size is None:
-            return int(_invert(self._request_table(self.m), np.array([rng.random()]))[0])
-        shape = (size,) if np.isscalar(size) else tuple(size)
-        n = int(np.prod(shape))
-        out = np.empty(n, dtype=np.int64)
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            out[lo:hi] = _invert(self._request_table(self.m), rng.random(hi - lo))
-        return out.reshape(shape)
+        out = np.empty(() if size is None else size, dtype=np.int64)
+        flat = out.reshape(-1)  # a view of the fresh, contiguous out
+        for lo in range(0, flat.size, _CHUNK):
+            chunk = flat[lo:lo + _CHUNK]
+            chunk[:] = _invert(self._request_table(self.m), rng.random(chunk.size))
+        return int(out) if size is None else out

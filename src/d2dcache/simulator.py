@@ -19,14 +19,15 @@ Draws invert a cdf through ``max(L, min(16L, 2**22))`` guide buckets for ``L``
 ranks: caches over the policy's support ``1..m_star``, requests over ``1..m_star``
 plus one bucket ``m_star + 1`` for all later ranks.  A table with a row per cluster
 and a column per rank up to ``m_star + 1`` counts who holds what; no cache holds
-rank ``m_star + 1``.  Memory is O(n*s + n_clusters*m_star) whatever ``m``.
+rank ``m_star + 1``.  Memory is O(n*s + n_clusters*m_star) whatever ``m``: one request
+table and one cluster map, each a single-entry cache, are alive at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,8 +81,9 @@ class NetworkConfig:
     def g_c(self) -> int:
         return self.n // self.n_clusters
 
+    @lru_cache(maxsize=1)
     def cluster_map(self) -> np.ndarray:
-        """User index -> cluster index, by square tiling of the grid.
+        """User index -> cluster index, by square tiling of the grid; read-only and shared.
 
         n and n_clusters are both perfect squares with n_clusters | n, so
         the tile side sqrt(n)/sqrt(n_clusters) is an exact integer.
@@ -90,12 +92,7 @@ class NetworkConfig:
         tiles = math.isqrt(self.n_clusters)
         tile = side // tiles
         u = np.arange(self.n)
-        return (u // side // tile) * tiles + (u % side) // tile
-
-    @cached_property
-    def _clusters(self) -> np.ndarray:
-        # the cluster map shared by every trial of this config
-        clusters = self.cluster_map()
+        clusters = (u // side // tile) * tiles + (u % side) // tile
         clusters.flags.writeable = False
         return clusters
 
@@ -117,7 +114,7 @@ def realize(config: NetworkConfig, dist, policy: CachingPolicy,
     # two draws and cluster offsets made twice keep few n-sized arrays alive: a trial's
     # heap peak mostly fits in what the last one freed, so glibc need not trim and refault
     n, s = config.n, config.s
-    clusters = config._clusters
+    clusters = config.cluster_map()
     caches = _invert(policy._table, rng.random((n, s)))
     requests = _invert(dist._request_table(policy.m_star), rng.random(n))
 
@@ -150,7 +147,7 @@ def per_user_throughput(config: NetworkConfig, real: Realization) -> np.ndarray:
     among its linked users; self-hits consume no airtime."""
     # a cluster without linked users has no share to give: any divisor will do
     share = config.c_rate / (config.k * np.maximum(real.potential_links, 1))
-    return np.where(real.linked, share[config._clusters], 0.0)
+    return np.where(real.linked, share[config.cluster_map()], 0.0)
 
 
 def throughput_accounting(config: NetworkConfig, real: Realization):
@@ -182,9 +179,7 @@ class SimResult:
 
 
 def _as_seedseq(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
 def monte_carlo(config: NetworkConfig, dist, policy: CachingPolicy, trials: int,
@@ -192,14 +187,17 @@ def monte_carlo(config: NetworkConfig, dist, policy: CachingPolicy, trials: int,
     """Average outage and per-user throughput over independent trials.
 
     Bitwise deterministic in (config, dist, policy, trials, seed): each
-    trial gets its own child generator, in trial order.
+    trial gets its own child generator, spawned in trial order as it starts.
     """
     if trials < 2:
         raise DomainError(f"need at least 2 trials for a stderr, got {trials}")
-    outages = np.empty(trials)
-    tmins = np.empty(trials)
-    for t, child in enumerate(_as_seedseq(seed).spawn(trials)):
-        real = realize(config, dist, policy, np.random.default_rng(child))
+    try:
+        outages, tmins = np.empty((2, trials))
+    except (ValueError, MemoryError) as e:
+        raise DomainError(f"cannot hold the results of {trials} trials: {e}") from None
+    seq = _as_seedseq(seed)
+    for t in range(trials):
+        real = realize(config, dist, policy, np.random.default_rng(seq.spawn(1)[0]))
         _, tmins[t], outages[t] = throughput_accounting(config, real)
         del real  # freed before the next trial allocates, as in realize
 

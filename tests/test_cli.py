@@ -717,6 +717,15 @@ class TestScenarioValidation:
             assert "int64" in capsys.readouterr().err, body
         assert not (tmp_path / "o").exists()
 
+    def test_trials_too_many_to_hold_rejected(self, tmp_path, capsys):
+        # 2**62 float64 results overflow the largest array numpy will allocate, so the
+        # refusal comes before any trial runs; a count the OS maps lazily would not
+        scn = scenario_file(tmp_path / "s.json", **FIG_SCENARIO, n_clusters=100, seed=1)
+        flags = ["--trials", str(2**62), "--out", str(tmp_path / "o")]
+        assert main(["simulate", "--scenario", scn, *flags]) == 2
+        assert "cannot hold the results of 4611686018427387904 trials" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_int64_edges_accepted(self, tmp_path):
         # the seed feeds a SeedSequence, which takes any integer
         scn = scenario_file(tmp_path / "s.json", **dict(FIG_SCENARIO, m=2**63 - 1),

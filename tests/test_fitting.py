@@ -490,6 +490,15 @@ class TestIO:
         is dropped, read as csv.reader's loop reads them, across block edges."""
         assert_reads_as_csv_reader(text, block)
 
+    @pytest.mark.parametrize("stamp", [
+        "1234567890123456", "9999999999999999", "12345678.9012345", "99999999999999.9",
+        ".999999999999999", "999999999999999.", "0000000000000001", "00000000.0000001",
+        "0000000000000000", "."])
+    def test_stamps_at_the_window_edges_match_csv_reader_oracle(self, stamp):
+        """16 digits, 15 digits and one point, leading zeros and a lone point
+        (a bad row), each word of the 16-byte window full."""
+        assert_reads_as_csv_reader(f"user_id,content_id,timestamp\nu,c,{stamp}\nv,c,7\n", 64)
+
     def test_timestamps_read_as_float_reads_them(self, tmp_path):
         # with a point, 16 digits make an inexact integer, which one division rounds again
         stamps = ["0", "007", "5.", ".5", "0.1", "123456789012345", "12345678901234.5",

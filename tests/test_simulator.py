@@ -356,6 +356,43 @@ class TestMonteCarlo:
         assert not any(t.is_alive() for t in threads)
         assert results == [monte_carlo(*fresh(), trials=8, seed=5)] * len(results)
 
+    def test_holds_no_seed_per_trial(self):
+        # the results take 16 bytes a trial; a seed list spawned ahead took ~380 more
+        dist = MZipfDist(0.8, 5.0, 200)
+        cfg = NetworkConfig(n=16, n_clusters=4, s=1)
+        policy = waterfill(dist, 1, cfg.g_c)
+        monte_carlo(cfg, dist, policy, trials=2, seed=1)  # tables built before tracing
+        trials = 2000
+        tracemalloc.start()
+        try:
+            monte_carlo(cfg, dist, policy, trials=trials, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * trials + 64 * 1024, peak
+
+    def test_a_config_run_again_after_another_gives_the_same_result(self):
+        # one request table and one cluster map are kept, so B evicts A's and A rebuilds them
+        runs = {
+            "A": (NetworkConfig(n=400, n_clusters=16, s=1), MZipfDist(0.8, 5.0, 200)),
+            "B": (NetworkConfig(n=400, n_clusters=25, s=2, include_self_cache=True),
+                  MZipfDist(0.6, 20.0, 300)),
+        }
+
+        def run(name):
+            cfg, dist = runs[name]
+            return monte_carlo(cfg, dist, waterfill(dist, cfg.s, cfg.g_c), trials=10, seed=3)
+
+        def bits(res):
+            return [x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(res)]
+
+        first, other, again = run("A"), run("B"), run("A")
+        assert bits(again) == bits(first) and other != first
+        clusters = runs["A"][0].cluster_map()
+        assert not clusters.flags.writeable
+        with pytest.raises(ValueError):
+            clusters[0] = 1
+
     def test_outage_decreases_with_gamma(self):
         cfg = NetworkConfig(n=2500, n_clusters=25, s=1, k=1)
         outs = []
@@ -437,6 +474,22 @@ class TestSweep:
         )
         outages = [p.outage for p in sim]
         assert all(a >= b for a, b in zip(outages, outages[1:])), outages
+
+    def test_keeps_one_request_table_and_one_cluster_map(self):
+        # supports grow with g_c; a per-config cache kept every table and map alive
+        dist = MZipfDist(0.6, 20.0, 100_000)
+        configs = self.configs([100, 16, 4])
+        sweep(self.configs([25]), dist, trials=2, seed=1)  # lazy imports before tracing
+        tracemalloc.start()
+        try:
+            points = sweep(configs, dist, trials=2, seed=1)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        supports = [waterfill(dist, c.s, c.g_c).m_star for c in configs]
+        assert len(set(supports)) == 3 and max(supports) < dist.m and len(points) > 3
+        table = max(sum(a.nbytes for a in dist._request_table(k)) for k in supports)
+        assert retained < table + configs[0].cluster_map().nbytes + 64 * 1024, retained
 
     def test_deterministic_and_order_insensitive_seeding(self):
         dist = MZipfDist(0.6, 20.0, 1000)
