@@ -33,7 +33,7 @@ from .fitting import (
     write_empirical_csv,
 )
 from .policy import waterfill
-from .popularity import MZipfDist
+from .popularity import _SCAN_CHUNK, MZipfDist
 from .simulator import (
     NetworkConfig,
     _regime_params,
@@ -324,7 +324,9 @@ def cmd_policy(args) -> int:
     out = _out_dir(args)
     with open(out / "policy.csv", "w", newline="") as fh:
         w = _csv_writer(fh, scn_hash, None, ["rank", "p_c"])
-        w.writerows(zip(range(1, policy.m_star + 1), map(repr, policy.probs.tolist())))
+        for lo in range(0, policy.m_star, _SCAN_CHUNK):  # no m_star-sized list of floats
+            rows = policy.probs[lo:lo + _SCAN_CHUNK].tolist()
+            w.writerows(zip(range(lo + 1, lo + len(rows) + 1), map(repr, rows)))
         _write_zero_rows(fh, policy.m_star + 1, policy.m + 1)
     _write_json(
         out / "policy_constants.json",

@@ -17,6 +17,7 @@ popularity ranking because ``z`` is non-increasing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .popularity import MZipfDist, _guide_table
+from .popularity import _SCAN_CHUNK, MZipfDist, _guide_table
 
 __all__ = [
     "CachingPolicy",
@@ -33,7 +34,7 @@ __all__ = [
     "solve_cutoff_constant",
 ]
 
-_FIRST_PREFIX = 1024  # pmf prefix the water-level scan of ``waterfill`` starts from
+_FIRST_PREFIX = 1024  # ranks in the first chunk of the water-level scan of ``waterfill``
 
 
 def _exponent_denom(s: int, g_c: int) -> int:
@@ -101,25 +102,31 @@ def waterfill(dist: MZipfDist, s: int, g_c: int) -> CachingPolicy:
     Scans the water level incrementally: with ``nu_m = (m-1) / sum_{f<=m}
     1/z_f``, the support grows while ``z_{m+1} > nu_m`` and stops at the
     unique cutoff where ``z_{m_star} >= nu`` and the next tilted popularity
-    falls below the level.  O(m_star): the scan's prefix of the pmf doubles,
-    capped at m, until it holds the cutoff; each doubling extends ``z`` and
-    takes the running sum afresh.  ``cumsum`` adds in order, so the result does
-    not depend on the prefix length.
+    falls below the level.  O(m_star) time; past the placement, memory is one
+    chunk of ranks, ``_FIRST_PREFIX`` doubling up to ``_SCAN_CHUNK``, and the
+    rank after it.  The running sum carries into each chunk's first term and
+    ``cumsum`` adds in order, so the chunking does not change a bit.
     """
     phi = _exponent_denom(s, g_c)
     m = dist.m
-    z, k = np.empty(0), min(_FIRST_PREFIX, m)
+    lo, size, carry = 0, min(_FIRST_PREFIX, _SCAN_CHUNK), 0.0
     while True:
-        z = np.concatenate((z, dist._pmf(len(z), k) ** (1.0 / phi)))
-        nu_at = np.arange(k, dtype=np.float64) / np.cumsum(1.0 / z)
+        hi = min(lo + size, m)
+        z = dist._pmf(lo, min(hi + 1, m)) ** (1.0 / phi)
+        inv = 1.0 / z[:hi - lo]
+        inv[0] += carry
+        csum = np.cumsum(inv)
+        nu_at = np.arange(lo, hi, dtype=np.float64) / csum
         # first m with z[m+1] <= nu_m ends the support; otherwise all of 1..m
-        below = np.nonzero(z[1:] <= nu_at[:-1])[0]
-        if below.size or k == m:
+        below = np.flatnonzero(z[1:] <= nu_at[:len(z) - 1])
+        if below.size or hi == m:
             break
-        k = min(2 * k, m)
-    m_star = int(below[0]) + 1 if below.size else m
-    nu = float(nu_at[m_star - 1])
-    probs = 1.0 - nu / z[:m_star]
+        lo, size, carry = hi, min(2 * size, _SCAN_CHUNK), csum[-1]
+    m_star = lo + int(below[0]) + 1 if below.size else m
+    nu = float(nu_at[m_star - 1 - lo])
+    probs = dist._pmf(0, m_star)
+    probs **= 1.0 / phi
+    np.subtract(1.0, np.divide(nu, probs, out=probs), out=probs)
     # a rank whose tilted popularity ties the level has mass 0 in exact
     # arithmetic, which rounding can turn negative: the support ends before it
     probs = probs[:np.count_nonzero(probs > 0.0)]
@@ -132,13 +139,15 @@ def hit_probability(dist: MZipfDist, policy: CachingPolicy, s: int, g_c: int) ->
 
     Averages ``1 - (1 - p_c(f))**(s*(g_c-1))`` over the request pmf; the
     requesting device's own cache is not counted.  Terms past ``m_star`` are
-    exactly 0: a correctly rounded ``math.fsum`` over the support.
+    exactly 0: one correctly rounded ``math.fsum`` over the support's chunks.
     """
     phi = _exponent_denom(s, g_c)
     if policy.m != dist.m:
         raise DomainError(f"policy covers {policy.m} files, popularity has {dist.m}")
-    pop = dist.head(policy.m_star)
-    return math.fsum((pop * (1.0 - (1.0 - policy.probs) ** (phi + 1))).tolist())
+    return math.fsum(itertools.chain.from_iterable(
+        (dist._pmf(lo, min(lo + _SCAN_CHUNK, policy.m_star))
+         * (1.0 - (1.0 - policy.probs[lo:lo + _SCAN_CHUNK]) ** (phi + 1))).tolist()
+        for lo in range(0, policy.m_star, _SCAN_CHUNK)))
 
 
 def solve_cutoff_constant(c2: float) -> float:

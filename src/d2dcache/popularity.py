@@ -31,6 +31,7 @@ __all__ = [
 
 # Draws per chunk of MZipfDist.sample; keeps peak memory flat for large requests.
 _CHUNK = 1 << 22
+_SCAN_CHUNK = 1 << 16  # ranks or buckets per chunk of a pass over a support or a guide table
 
 # Steps of the guide-table walk before the rest of a draw is bisected;
 # the expected walk is below one step, so few draws ever get this far.
@@ -137,13 +138,17 @@ def _guide_table(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     2**22))`` buckets (Chen & Asau, 1974), ``guide[b]`` is one more than the
     number of cdf values ``c`` with ``fl(c*K) < b``: the lowest rank a
     uniform in bucket ``b`` can map to.  A search from there takes about
-    ``1 + L/K`` steps (Devroye, 1986, III.2.4).  O(K log L) to build.
+    ``1 + L/K`` steps (Devroye, 1986, III.2.4).  O(K log L) to build in chunks.
     """
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
     k = max(len(cdf), min(16 * len(cdf), 1 << 22))
     edges = np.concatenate(([0.0], cdf))
-    guide = np.searchsorted(cdf * k, np.arange(k + 1), side="left") + 1
+    cdf *= k
+    guide = np.empty(k + 1, dtype=np.intp)
+    for lo in range(0, k + 1, _SCAN_CHUNK):  # no K-sized temporaries
+        hi = min(lo + _SCAN_CHUNK, k + 1)
+        np.add(np.searchsorted(cdf, np.arange(lo, hi, dtype=np.float64)), 1, out=guide[lo:hi])
     return edges, guide
 
 

@@ -41,6 +41,14 @@ def placement_cdf(probs):
     return cdf
 
 
+def oneshot_guide(probs):
+    """The first guide table of ``popularity._guide_table``: all K + 1 buckets
+    in one ``searchsorted`` of ``cdf * K``, three K-sized arrays at once."""
+    cdf = placement_cdf(probs)
+    k = max(len(cdf), min(16 * len(cdf), 1 << 22))
+    return np.searchsorted(cdf * k, np.arange(k + 1), side="left") + 1
+
+
 def bisect_ranks(cdf, u):
     """Ranks 1..m of uniforms ``u`` by inversion of ``cdf``, one bisection each."""
     cdf = cdf.tolist()
@@ -310,6 +318,14 @@ def dense_waterfill(dist, s, g_c):
     probs[:m_star] = 1.0 - nu / z[:m_star]
     probs.flags.writeable = False
     return DensePolicy(probs=probs, nu=nu, m_star=m_star, exponent_denom=phi)
+
+
+def onelist_hit_probability(dist, policy, s, g_c):
+    """The first ``hit_probability``: every term of the support in one numpy
+    expression, made into one list for one ``math.fsum``."""
+    phi = _exponent_denom(s, g_c)
+    pop = dist.head(policy.m_star)
+    return math.fsum((pop * (1.0 - (1.0 - policy.probs) ** (phi + 1))).tolist())
 
 
 def mpmath_hit_probability(pop, placement, exponent, dps=50):

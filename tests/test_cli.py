@@ -362,6 +362,13 @@ class TestPolicyCsvWriter:
     def test_library_at_power_of_ten(self, tmp_path, m):
         assert self.table(tmp_path, m, 100) == m - 214
 
+    # the 214 support rows in chunks: 71 of 3 and one of 1, 2 of 100 and one
+    # of 14, or one whole chunk of 214
+    @pytest.mark.parametrize("chunk", [3, 100, 214])
+    def test_support_in_chunks(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "_SCAN_CHUNK", chunk)
+        assert self.table(tmp_path, 1000, 100) == 1000 - 214
+
 
 # (lo, m): the zero rows of ranks lo..m; every digit boundary from 9 -> 10 to
 # 999 999 -> 1 000 000 is crossed, m = 10^k and m = 10^k - 1 for k = 1..6, and

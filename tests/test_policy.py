@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2dcache import ConfigError, DomainError, MZipfDist, NetworkConfig, RegimeParams
+from d2dcache import policy as policy_mod
 from d2dcache.policy import (
     _FIRST_PREFIX,
     CachingPolicy,
@@ -19,6 +21,7 @@ from oracles import (
     dense_waterfill,
     full_placement,
     mpmath_hit_probability,
+    onelist_hit_probability,
     pga_optimal_placement,
 )
 
@@ -85,28 +88,42 @@ def assert_bit_equal(got, want):
     assert not got.probs.flags.writeable
 
 
+# the scan's chunk: the default, one that puts chunk edges on every third rank,
+# so that cutoffs fall on them and the running sum crosses many, and P
+SCAN_CHUNKS = pytest.mark.parametrize("chunk", [None, 3, P])
+
+
+@pytest.fixture
+def scan_chunk(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(policy_mod, "_SCAN_CHUNK", chunk)
+
+
+@SCAN_CHUNKS
 @pytest.mark.parametrize("m", [1, 2, P - 1, P, P + 1, 2 * P + 1, 100_000])
 @pytest.mark.parametrize("gamma, q", [(0.6, 20.0), (1.2, 5.0), (0.3, 0.0)])
-def test_waterfill_bit_equal_to_dense_scan(gamma, q, m):
+def test_waterfill_bit_equal_to_dense_scan(gamma, q, m, scan_chunk):
     d = MZipfDist(gamma, q, m)
     for s, g_c in [(1, 3), (1, 16), (2, 100), (1, 2500), (1, 10**6)]:
         assert_bit_equal(waterfill(d, s, g_c), dense_waterfill(d, s, g_c))
 
 
+@SCAN_CHUNKS
 @pytest.mark.parametrize("g_c, m_star", [(567, P - 1), (568, P + 1), (1173, 2 * P - 1),
                                          (1174, 2 * P + 1)])
-def test_waterfill_cutoff_next_to_prefix_end(g_c, m_star):
-    # cutoffs one rank before and one after the ends of the first two prefixes;
-    # the one after needs the next, doubled prefix to see it
+def test_waterfill_cutoff_next_to_prefix_end(g_c, m_star, scan_chunk):
+    # cutoffs one rank before and one after the ends of the first two chunks;
+    # the one before needs the rank past its chunk, the one after the next chunk
     d = MZipfDist(0.6, 20.0, 100_000)
     pol = waterfill(d, 1, g_c)
     assert pol.m_star == m_star
     assert_bit_equal(pol, dense_waterfill(d, 1, g_c))
 
 
+@SCAN_CHUNKS
 @pytest.mark.parametrize("m", [P - 1, P, P + 1, 2 * P + 1, 100_000])
 @pytest.mark.parametrize("g_c", [10**5, 10**7])
-def test_waterfill_without_cutoff_covers_library(m, g_c):
+def test_waterfill_without_cutoff_covers_library(m, g_c, scan_chunk):
     # nearly flat tilted popularity: the level never drops below the next
     # rank, so every doubling runs until the prefix is the whole library
     d = MZipfDist(0.3, 0.0, m)
@@ -115,6 +132,7 @@ def test_waterfill_without_cutoff_covers_library(m, g_c):
     assert_bit_equal(pol, dense_waterfill(d, 1, g_c))
 
 
+@SCAN_CHUNKS
 @pytest.mark.parametrize("gamma, q, m, s, g_c", [
     (0.6, 20.0, 1000, 1, 4),
     (0.6, 20.0, 1000, 1, 100),
@@ -123,14 +141,37 @@ def test_waterfill_without_cutoff_covers_library(m, g_c):
     (0.3, 0.0, 1000, 1, 16),
     (1.0, 0.0, 3, 1, 3),
 ])
-def test_hit_probability_matches_mpmath_sum(gamma, q, m, s, g_c):
+def test_hit_probability_matches_mpmath_sum(gamma, q, m, s, g_c, scan_chunk):
     # the mpmath sum runs over every rank, the zero tail past m_star included;
-    # g_c + 1 is the self-cache evaluation of the same placement
+    # g_c + 1 is the self-cache evaluation of the same placement.  fsum is
+    # correctly rounded however its terms are grouped, so the chunked sum is
+    # the one-list sum bit for bit
     d = MZipfDist(gamma, q, m)
     pol = waterfill(d, s, g_c)
     for size in (g_c, g_c + 1):
+        got = hit_probability(d, pol, s, size)
+        assert got.hex() == onelist_hit_probability(d, pol, s, size).hex()
         want = mpmath_hit_probability(d.probs, full_placement(pol), s * (size - 1))
-        assert hit_probability(d, pol, s, size) == pytest.approx(want, rel=1e-14, abs=0)
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_placement_and_hit_probability_peak_near_the_support():
+    # at g_c = 250 000 the support is m_star = 416 868 of m = 10^6 ranks: the
+    # placement holds 8 B a rank, and every pass over it fixed-size chunks
+    d = MZipfDist(0.6, 20.0, 10**6)
+    waterfill(d, 1, 4)  # first-call allocations are not the placement's
+    tracemalloc.start()
+    try:
+        pol = waterfill(d, 1, 250_000)
+        placement_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        hit_probability(d, pol, 1, 250_000)
+        hit_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pol.m_star == 416_868
+    bound = 2 * 8 * pol.m_star + 4 * 2**20
+    assert placement_peak < bound and hit_peak < bound, (placement_peak, hit_peak)
 
 
 def test_policy_holds_support_only():

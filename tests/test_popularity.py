@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from d2dcache import DomainError, MZipfDist, partial_sum, partial_sum_bounds
+from d2dcache import DomainError, MZipfDist, partial_sum, partial_sum_bounds, popularity
 from d2dcache.policy import waterfill
 from d2dcache.popularity import _guide_table, _head_terms, _invert, _power_integral
 
@@ -18,6 +18,7 @@ from oracles import (
     hurwitz_partial_sum,
     mpmath_normalizer,
     naive_partial_sum,
+    oneshot_guide,
     placement_cdf,
     streamed_partial_sum,
 )
@@ -351,6 +352,35 @@ def test_guide_table_inversion_matches_bisection(m):
         ])
         u = u[(u >= 0.0) & (u < 1.0)]
         np.testing.assert_array_equal(_invert(_guide_table(probs), u), bisect_ranks(cdf, u))
+
+
+def zero_some_ranks(rng, probs):
+    """A pmf with about a third of its ranks at mass 0, never all of them."""
+    w = np.where(rng.random(len(probs)) < 1 / 3, 0.0, probs)
+    w[rng.integers(len(w))] = probs.max()
+    return w / math.fsum(w.tolist())
+
+
+# chunks of 5 and 64 buckets: each table here, 17 to 16 001 buckets, ends mid-chunk
+@pytest.mark.parametrize("chunk", [None, 5, 64])
+@pytest.mark.parametrize("size", [1, 2, 3, 40, 1000])
+def test_guide_table_equals_one_shot_search(monkeypatch, chunk, size):
+    if chunk is not None:
+        monkeypatch.setattr(popularity, "_SCAN_CHUNK", chunk)
+    rng = np.random.default_rng(size)
+    for _ in range(20):
+        probs = zero_some_ranks(rng, rng.random(size))
+        guide = _guide_table(probs)[1]
+        assert guide.dtype == np.intp
+        np.testing.assert_array_equal(guide, oneshot_guide(probs))
+
+
+def test_guide_table_at_the_bucket_cap():
+    # 16L = 2**22 buckets, 64 chunks of the default size
+    probs = zero_some_ranks(np.random.default_rng(7), MZipfDist(0.6, 20.0, 1 << 18).probs)
+    guide = _guide_table(probs)[1]
+    assert len(guide) == (1 << 22) + 1
+    np.testing.assert_array_equal(guide, oneshot_guide(probs))
 
 
 @pytest.mark.parametrize("m", [1, 7, 1000])
