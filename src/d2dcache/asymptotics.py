@@ -198,32 +198,31 @@ def hit_rate_closed_form(p: RegimeParams) -> ClampedValue:
     return _clamp01(num / _library_integral(p))
 
 
-def hit_rate_floor(p: RegimeParams, rho: float) -> ClampedValue:
+def hit_rate_floor(p: RegimeParams) -> ClampedValue:
     """Lower bound on the optimal hit rate past the saturation point.
 
-    For ``gamma < 1`` and ``g_c = rho*m/(c1*s)`` with ``rho >= gamma``,
+    For ``gamma < 1`` and ``rho = p.rho >= gamma`` (so ``g_c = rho*m/(c1*s)``),
 
         1 - (1-gamma) * exp(-(rho/c1 - gamma))
             / ([(1+d)^(1-gamma) - d^(1-gamma)]
                * [(1+d)^(gamma/phi+1) - d^(gamma/phi+1)]^phi)
 
-    with ``d = q/m``.  The caller is responsible for passing a ``rho``
-    consistent with ``p.g_c`` (``p.rho`` is the matching value).  The
-    first bracket over ``1 - gamma`` is taken as ``I(d, 1)``, the integral
-    of ``t^(-gamma)`` over ``[d, 1 + d]``, so it keeps full precision as
-    ``gamma`` nears 1 and reads ``1/(1-gamma)`` at ``q = 0``.  The second is
-    ``1 + u``, ``u = (1+d)((1+d)^eps - 1) - d(d^eps - 1)`` with ``eps = gamma/phi``
-    (two positive terms), raised to ``phi`` as ``exp(phi * log1p(u))``.
+    with ``d = q/m``.  The first bracket over ``1 - gamma`` is taken as
+    ``I(d, 1)``, the integral of ``t^(-gamma)`` over ``[d, 1 + d]``, so it
+    keeps full precision as ``gamma`` nears 1 and reads ``1/(1-gamma)`` at
+    ``q = 0``.  The second is ``1 + u``, ``u = (1+d)((1+d)^eps - 1) - d(d^eps - 1)``
+    with ``eps = gamma/phi`` (two positive terms), raised to ``phi`` as
+    ``exp(phi * log1p(u))``.
     """
     if p.gamma >= 1.0:
         raise RegimeError(
             f"saturated-cutoff bound needs gamma < 1, got {p.gamma}"
         )
-    if rho < p.gamma:
-        raise DomainError(f"rho must be >= gamma, got rho={rho} < {p.gamma}")
+    if p.rho < p.gamma:
+        raise DomainError(f"rho must be >= gamma, got rho={p.rho} < {p.gamma}")
     d, eps = p.d, p.gamma / p.phi
     u = (1.0 + d) * math.expm1(eps * math.log1p(d)) - (d * math.expm1(eps * math.log(d)) if d else 0.0)
-    val = 1.0 - math.exp(-(rho / p.c1 - p.gamma)) / (_power_integral(p.gamma, d, 1.0)
+    val = 1.0 - math.exp(-(p.rho / p.c1 - p.gamma)) / (_power_integral(p.gamma, d, 1.0)
                                                      * math.exp(p.phi * math.log1p(u)))
     return _clamp01(val)
 
@@ -237,21 +236,19 @@ def _check_plateau_order(p: RegimeParams):
         )
 
 
-def tradeoff_small_gamma(p: RegimeParams, regime: str, knob=None) -> TradeoffPoint:
-    """Leading-order throughput-outage point for ``gamma < 1``.
+def tradeoff_small_gamma(p: RegimeParams, regime: str) -> TradeoffPoint:
+    """Leading-order throughput-outage point for ``gamma < 1`` at ``p``'s geometry.
 
-    ``regime`` selects which growth law of the cluster size applies and
-    what the knob means:
+    ``regime`` selects which growth law of the cluster size applies:
 
-    * ``"r1"`` - ``g_c = c3 * m**alpha``; knob is ``c3`` (default ``p.c3``).
-    * ``"r2"`` - ``g_c`` between ``m**alpha`` and saturation; knob is
-      ``g_c`` itself (default ``p.g_c``).
-    * ``"r3"`` - saturated support, ``g_c = rho*m/(c1*s)``; knob is ``rho``
-      (default ``p.rho``).
+    * ``"r1"`` - ``g_c = c3 * m**alpha``;
+    * ``"r2"`` - ``g_c`` between ``m**alpha`` and saturation;
+    * ``"r3"`` - saturated support, ``g_c = rho*m/(c1*s)``.
 
-    The constants ``c1, c4`` always come from ``p``.  Outage (and, in r1,
-    throughput) is clamped with a flag when the leading-order form exits
-    its range at small scale.
+    Every constant comes from ``p``, and the point carries ``p.g_c``; to
+    trace a law, build one ``RegimeParams`` per cluster size.  Outage (and,
+    in r1, throughput) is clamped with a flag when the leading-order form
+    exits its range at small scale.
     """
     if p.gamma >= 1.0:
         raise RegimeError(
@@ -261,46 +258,36 @@ def tradeoff_small_gamma(p: RegimeParams, regime: str, knob=None) -> TradeoffPoi
     _check_plateau_order(p)
     ck = p.c_rate / p.k
     c1 = p.c1
-    notes: tuple = ()
     if regime == "r1":
-        c3 = p.c3 if knob is None else float(knob)
-        if c3 <= 0:
-            raise DomainError(f"c3 must be > 0, got {c3}")
-        ma = p.m**p.alpha
+        c3, ma = p.c3, p.m**p.alpha
         b = (1.0 - p.gamma) * _tilted_integral(p.gamma, p.c4, p.s * c1 * c3 / p.gamma)
         t = ck * (1.0 / (c3 * ma)) * -math.expm1(-(c3 / 2.0) * b)
         po = _clamp01(1.0 - b / ma)
-        if t < 0.0:
-            t = 0.0
-            notes += ("throughput_clamped",)
+        notes = ("throughput_clamped",) if t < 0.0 else ()
         return TradeoffPoint(
-            g_c=round(c3 * ma),
+            g_c=p.g_c,
             outage=po.value,
-            throughput=t,
+            throughput=max(t, 0.0),
             source="small_gamma_r1",
             clamped=po.clamped or bool(notes),
             notes=notes,
         )
     if regime == "r2":
-        g = int(p.g_c if knob is None else knob)
-        if g < 2:
-            raise DomainError(f"g_c must be >= 2, got {g}")
-        bracket = _tilted_integral(p.gamma, p.q / g, p.s * c1 / p.gamma)
-        po = _clamp01(1.0 - g ** (1.0 - p.gamma) * bracket / _library_integral(p))
+        bracket = _tilted_integral(p.gamma, p.q / p.g_c, p.s * c1 / p.gamma)
+        po = _clamp01(1.0 - p.g_c ** (1.0 - p.gamma) * bracket / _library_integral(p))
         return TradeoffPoint(
-            g_c=g,
+            g_c=p.g_c,
             outage=po.value,
-            throughput=ck / g,
+            throughput=ck / p.g_c,
             source="small_gamma_r2",
             clamped=po.clamped,
         )
     if regime == "r3":
-        rho = p.rho if knob is None else float(knob)
-        floor = hit_rate_floor(p, rho)  # raises for rho < gamma
+        floor = hit_rate_floor(p)  # raises for rho < gamma
         return TradeoffPoint(
-            g_c=round(rho * p.m / (c1 * p.s)),
+            g_c=p.g_c,
             outage=1.0 - floor.value,
-            throughput=ck * p.s * c1 / (rho * p.m),
+            throughput=ck * p.s * c1 / (p.rho * p.m),
             source="small_gamma_r3",
             clamped=floor.clamped,
         )
@@ -413,7 +400,7 @@ def theory_points(p: RegimeParams) -> list[TradeoffPoint]:
     pts: list[TradeoffPoint] = []
     # the closed form, or past saturation (or at m = 1) the floor, if either applies
     for source, rate in (("closed_form", hit_rate_closed_form),
-                         ("lower_bound", lambda p: hit_rate_floor(p, p.rho))):
+                         ("lower_bound", hit_rate_floor)):
         try:
             v = rate(p)
         except (RegimeError, DomainError):

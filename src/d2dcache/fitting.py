@@ -28,7 +28,7 @@ from datetime import datetime
 import numpy as np
 
 from .errors import DomainError
-from .popularity import MZipfDist, partial_sum
+from .popularity import _SCAN_CHUNK, MZipfDist, partial_sum
 
 __all__ = [
     "LOG_DTYPE",
@@ -47,7 +47,6 @@ __all__ = [
 
 # one row per access: integer user and content codes, NaN timestamp when absent
 LOG_DTYPE = np.dtype([("user", np.int64), ("content", np.int64), ("timestamp", np.float64)])
-_SCAN_POINTS = 1 << 16  # grid points per partial_sum call in fit_mzipf: flat memory
 _REFINE_POINTS = 7  # points per axis of each refine grid
 _SHRINK = 5.0  # factor the refine box shrinks by per round
 
@@ -185,11 +184,12 @@ def fit_mzipf(emp: EmpiricalPopularity, m: int | None = None,
 
     def scan(g_pts, q_pts):
         nonlocal evals, best
-        cross = np.array([float(p @ np.log(ranks + q)) for q in q_pts.tolist()])
+        # a numpy reduction, not a BLAS dot, whose bits would depend on its thread count
+        cross = np.array([float(np.add.reduce(p * np.log(ranks + q))) for q in q_pts.tolist()])
         n = len(g_pts) * len(q_pts)
         evals += n
-        for lo in range(0, n, _SCAN_POINTS):  # q-major, as a loop over q then gamma
-            qi, gi = np.divmod(np.arange(lo, min(lo + _SCAN_POINTS, n)), len(g_pts))
+        for lo in range(0, n, _SCAN_CHUNK):  # q-major, as a loop over q then gamma
+            qi, gi = np.divmod(np.arange(lo, min(lo + _SCAN_CHUNK, n)), len(g_pts))
             g, q = g_pts[gi], q_pts[qi]
             log_h = np.fromiter(map(math.log, partial_sum(g, q, 1, m).tolist()), float, len(g))
             # math.log rounds as a per-point loop; at m = 1 every model is the point mass: KL 0

@@ -41,10 +41,12 @@ def _exponent_denom(s: int, g_c: int) -> int:
     """Tilt exponent ``s*(g_c-1) - 1`` of a cluster geometry, checked to be >= 1.
 
     The one check of the geometry rule: the network config, the regime
-    parameters and the placement all validate through here.
+    parameters and the placement all validate through here.  A non-integral
+    ``s`` or ``g_c`` is rejected, not truncated into another geometry.
     """
-    s = int(s)
-    g_c = int(g_c)
+    if s != int(s) or g_c != int(g_c):
+        raise ConfigError(f"s and g_c must be integers, got s={s}, g_c={g_c}")
+    s, g_c = int(s), int(g_c)
     if s < 1:
         raise ConfigError(f"s must be >= 1, got {s}")
     if g_c < 2:

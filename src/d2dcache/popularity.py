@@ -29,9 +29,9 @@ __all__ = [
     "partial_sum_bounds",
 ]
 
-# Draws per chunk of MZipfDist.sample; keeps peak memory flat for large requests.
-_CHUNK = 1 << 22
-_SCAN_CHUNK = 1 << 16  # ranks or buckets per chunk of a pass over a support or a guide table
+# ranks, buckets, draws or grid points per chunk of a pass over a support, a guide
+# table, a sample or a fit grid: each pass stays in flat memory
+_SCAN_CHUNK = 1 << 16
 
 # Steps of the guide-table walk before the rest of a draw is bisected;
 # the expected walk is below one step, so few draws ever get this far.
@@ -290,7 +290,7 @@ class MZipfDist:
         """
         out = np.empty(() if size is None else size, dtype=np.int64)
         flat = out.reshape(-1)  # a view of the fresh, contiguous out
-        for lo in range(0, flat.size, _CHUNK):
-            chunk = flat[lo:lo + _CHUNK]
+        for lo in range(0, flat.size, _SCAN_CHUNK):
+            chunk = flat[lo:lo + _SCAN_CHUNK]
             chunk[:] = _invert(self._request_table(self.m), rng.random(chunk.size))
         return int(out) if size is None else out

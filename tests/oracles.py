@@ -238,7 +238,7 @@ def loop_fit_mzipf(emp, m=None, search=None, normalizer=partial_sum):
     def scan(g_pts, q_pts):
         nonlocal evals, best
         for q in q_pts.tolist():
-            cross = float(p @ np.log(ranks + q))
+            cross = float(np.add.reduce(p * np.log(ranks + q)))
             for g in g_pts.tolist():
                 evals += 1
                 kl = plogp + g * cross + math.log(normalizer(g, q, 1, m))
@@ -390,13 +390,15 @@ def pga_optimal_placement(pop, exponent, iters=20000, n_starts=20, seed=0, tol=1
 def mpmath_closed_forms(gamma, q, m, s, g_c, c1, dps=60):
     """The paper's raw closed forms at ``dps`` digits, each a power difference over ``1 - gamma``.
 
-    Returns ``{"closed_form", "floor", "r1_outage", "r1_throughput", "r2_outage"}``
-    (hit rates for the first two, outages below them; throughput in units of
-    ``c_rate/k``), all unclamped, with ``rho`` and ``c3`` at ``g_c``; ``c1`` is
-    the float cutoff constant the package solved for.
+    Returns ``{"closed_form", "floor", "r1_outage", "r1_throughput", "r2_outage",
+    "r3_throughput", "large_gamma_outage"}`` (hit rates for the first two,
+    outages below them; throughputs in units of ``c_rate/k``), all unclamped,
+    with ``rho`` and ``c3`` at ``g_c``; ``c1`` is the float cutoff constant the
+    package solved for.
     At ``gamma = 1`` each form is 0/0 and the limit is taken as the value at
     ``gamma = 1 + 10**-(dps/2)``, which leaves about ``dps/2`` correct digits.
-    Forms that need ``gamma < 1`` (floor, r1, r2) are left out otherwise.
+    Forms that need ``gamma < 1`` (floor, r1, r2, r3) or ``gamma > 1`` (large
+    gamma) are left out otherwise.
     """
     import mpmath
 
@@ -426,4 +428,8 @@ def mpmath_closed_forms(gamma, q, m, s, g_c, c1, dps=60):
             c5 = q / g_c
             bracket = (s * c1 / g + c5) ** (-g) * (s * c1 + c5) - c5**og
             out["r2_outage"] = 1 - g_c**og / den * bracket
+            out["r3_throughput"] = s * c1 / (rho * m)
+        elif gamma > 1:
+            c6 = q / g_c
+            out["large_gamma_outage"] = c6 ** (g - 1) * (s * c1 + c6) / (s * c1 / g + c6) ** g
         return {k: float(v) for k, v in out.items()}

@@ -10,7 +10,6 @@ rather than a pointwise inequality.
 
 import math
 
-import mpmath
 import pytest
 
 from d2dcache.asymptotics import (
@@ -60,7 +59,9 @@ class TestNearGammaOne:
     @pytest.mark.parametrize("gamma", [g for g in NEAR_ONE if g < 1] + [0.6])
     def test_small_gamma_forms(self, gamma, q):
         p = RegimeParams(gamma, q, 1000, 1, 2000)
-        assert_matches(*hit_rate_floor(p, p.rho), oracle(p)["floor"])
+        assert_matches(*hit_rate_floor(p), oracle(p)["floor"])
+        r3 = tradeoff_small_gamma(p, "r3")
+        assert r3.throughput == pytest.approx(oracle(p)["r3_throughput"], rel=1e-13, abs=0)
         p = RegimeParams(gamma, q, 10**5, 1, 99_000)
         r2 = tradeoff_small_gamma(p, "r2")
         assert_matches(r2.outage, r2.clamped, oracle(p)["r2_outage"])
@@ -78,7 +79,7 @@ class TestNearGammaOne:
     def test_floor_keeps_double_precision_at_large_clusters(self, gamma, q, m, g_c):
         # the second bracket is raised to phi = g_c - 2, which would multiply its rounding
         p = RegimeParams(gamma, q, m, 1, g_c)
-        assert_matches(*hit_rate_floor(p, p.rho), oracle(p)["floor"], rel=4e-15)
+        assert_matches(*hit_rate_floor(p), oracle(p)["floor"], rel=4e-15)
 
 
 class TestClosedForm:
@@ -130,7 +131,7 @@ class TestClosedForm:
 class TestFloor:
     def test_matches_high_precision_reference(self):
         p = RegimeParams(0.6, 20.0, 1000, 1, 750)
-        assert_matches(*hit_rate_floor(p, p.rho), oracle(p)["floor"])
+        assert_matches(*hit_rate_floor(p), oracle(p)["floor"])
 
     def test_converges_to_exact_optimum(self):
         # asymptotic bound: at finite m it sits slightly above the exact
@@ -143,7 +144,7 @@ class TestFloor:
                 if RegimeParams(0.6, q, m, 1, g).rho >= 0.8
             )
             p = RegimeParams(0.6, q, m, 1, g_c)
-            fl = hit_rate_floor(p, p.rho)
+            fl = hit_rate_floor(p)
             gaps.append(abs(fl.value - exact_hit(0.6, q, m, 1, g_c)))
         assert gaps[0] < 2e-3
         assert gaps[1] < gaps[0] / 5
@@ -152,40 +153,46 @@ class TestFloor:
     def test_plateau_free_boundary_value(self):
         # q = 0 and rho = gamma give exactly gamma
         p = RegimeParams(0.6, 0.0, 1000, 1, 600)
-        got = hit_rate_floor(p, 0.6)
+        assert p.rho == 0.6
+        got = hit_rate_floor(p)
         assert got.value == pytest.approx(0.6, abs=1e-12)
         assert not got.clamped
 
     def test_rejects_rho_below_gamma(self):
         p = RegimeParams(0.6, 0.0, 1000, 1, 100)
+        assert p.rho < p.gamma
         with pytest.raises(DomainError, match="rho"):
-            hit_rate_floor(p, 0.3)
+            hit_rate_floor(p)
 
     def test_rejects_large_gamma(self):
         p = RegimeParams(1.5, 5.0, 1000, 1, 50)
         with pytest.raises(RegimeError, match="gamma"):
-            hit_rate_floor(p, 2.0)
+            hit_rate_floor(p)
 
 
 class TestSmallGammaTradeoff:
     def test_r3_throughput_value(self):
-        # q = 0 makes c1 = 1 exactly, so t = (c/k)/(rho*m)
+        # q = 0 makes c1 = 1 exactly, so t = (c/k)/(rho*m), here at rho = 0.6
         p = RegimeParams(0.6, 0.0, 1000, 1, 600, k=4)
-        t = tradeoff_small_gamma(p, "r3", knob=0.6)
+        assert p.rho == 0.6
+        t = tradeoff_small_gamma(p, "r3")
         assert t.throughput == pytest.approx(0.25 / 600.0, rel=1e-12, abs=0)
         assert t.g_c == 600
         assert t.source == "small_gamma_r3"
 
     def test_r1_library_scaling(self):
         # with q = 0 the complement of the outage scales exactly like
-        # m**(-alpha) at fixed c3
+        # m**(-alpha) at fixed c3; alpha = 2/7, so 128 times the library
+        # and 4 times the cluster keep c3 and quarter the complement
         alpha = 0.4 / 1.4
         p1 = RegimeParams(0.6, 0.0, 10**4, 1, 50)
-        p4 = RegimeParams(0.6, 0.0, 4 * 10**4, 1, 120)
-        t1 = tradeoff_small_gamma(p1, "r1", knob=1.3)
-        t4 = tradeoff_small_gamma(p4, "r1", knob=1.3)
+        p4 = RegimeParams(0.6, 0.0, 128 * 10**4, 1, 200)
+        assert p4.c3 == pytest.approx(p1.c3, rel=1e-14, abs=0)
+        t1 = tradeoff_small_gamma(p1, "r1")
+        t4 = tradeoff_small_gamma(p4, "r1")
+        assert (t1.g_c, t4.g_c) == (50, 200)
         assert (1 - t4.outage) / (1 - t1.outage) == pytest.approx(
-            4.0 ** (-alpha), rel=1e-9, abs=0
+            128.0 ** (-alpha), rel=1e-9, abs=0
         )
 
     def test_r2_throughput_identity(self):
@@ -200,9 +207,10 @@ class TestSmallGammaTradeoff:
             ref = 1 - exact_hit(0.6, 20.0, 1000, 1, g_c)
             assert abs(t.outage - ref) <= 0.05, (g_c, t.outage, ref)
 
-    def test_outage_clamped_at_extreme_knob(self):
-        p = RegimeParams(0.6, 0.0, 10**4, 1, 50)
-        t = tradeoff_small_gamma(p, "r1", knob=2000.0)
+    def test_outage_clamped_at_extreme_c3(self):
+        p = RegimeParams(0.6, 0.0, 10**4, 1, 27_783)
+        assert p.c3 == pytest.approx(2000.0, rel=1e-3)
+        t = tradeoff_small_gamma(p, "r1")
         assert t.outage == 0.0
         assert t.clamped
 
@@ -216,16 +224,15 @@ class TestSmallGammaTradeoff:
 
 
 class TestLargeGammaTradeoff:
-    def test_matches_high_precision_reference(self):
-        p = RegimeParams(1.8, 30.0, 10**5, 1, 100)
+    @pytest.mark.parametrize("g_c", [50, 100, 1000])
+    @pytest.mark.parametrize("q", [0.0, 1e-9, 1e-3, 20.0, 300.0])
+    @pytest.mark.parametrize("gamma", [g for g in NEAR_ONE if g > 1] + [1.28, 1.8, 3.0])
+    def test_matches_high_precision_reference(self, gamma, q, g_c):
+        # at q = 0 the outage is exactly 0, which a relative bound with abs = 0 pins
+        p = RegimeParams(gamma, q, 10**5, 1, g_c)
         t = tradeoff_large_gamma(p)
-        with mpmath.workdps(50):
-            g = mpmath.mpf(1.8)
-            c6 = mpmath.mpf(30.0) / 100
-            c1 = mpmath.mpf(p.c1)
-            want = float(c6 ** (g - 1) * (c1 + c6) / (c1 / g + c6) ** g)
-        assert t.outage == pytest.approx(want, rel=1e-12, abs=0)
-        assert t.throughput == pytest.approx(1.0 / 100, rel=1e-12, abs=0)
+        assert_matches(t.outage, t.clamped, oracle(p)["large_gamma_outage"], rel=1e-14)
+        assert t.throughput == pytest.approx(1.0 / g_c, rel=1e-12, abs=0)
 
     def test_limit_identity(self):
         # the expression is the m -> infinity limit of the closed form with
@@ -311,6 +318,15 @@ class TestTheoryPoints:
         assert [t.source for t in pts] == ["lower_bound", "small_gamma_r3"]
         # both describe the same saturated point
         assert pts[0].outage == pytest.approx(pts[1].outage, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma, q, m, g_c", [
+        (0.6, 20.0, 1000, g) for g in (16, 25, 100, 400, 625, 2500)
+    ] + [(1.28, 34.0, 19379, 500)])
+    def test_every_point_at_its_own_cluster_size(self, gamma, q, m, g_c):
+        # no form relabels a point: each row describes the geometry it was built from
+        pts = theory_points(RegimeParams(gamma, q, m, 1, g_c))
+        assert len(pts) == 2
+        assert all(t.g_c == g_c for t in pts)
 
     def test_sources_large_gamma(self):
         pts = theory_points(RegimeParams(1.28, 34.0, 19379, 1, 500))

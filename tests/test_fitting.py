@@ -320,7 +320,7 @@ class TestFit:
     def test_short_calls_match_per_point_loop(self, monkeypatch):
         # three points per partial_sum call: every chunk edge and a short last chunk
         emp = emp_from_sample(MZipfDist(1.1, 8.0, 800), 50_000, np.random.default_rng(3))
-        monkeypatch.setattr(fitting, "_SCAN_POINTS", 3)
+        monkeypatch.setattr(fitting, "_SCAN_CHUNK", 3)
         assert fit_mzipf(emp, m=800) == loop_fit_mzipf(emp, 800)
 
     def test_fine_grid_matches_per_point_loop(self):

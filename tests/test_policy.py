@@ -243,6 +243,22 @@ def test_geometry_rule_has_one_validator(s, g_c, reason):
     assert len(messages) == 1
 
 
+def test_non_integral_geometry_rejected_not_truncated():
+    # a truncated g_c would give phi from 100 but c3 and rho from 100.5; s = 1.7 the s = 1 placement
+    d = MZipfDist(gamma=0.6, q=20.0, m=1000)
+    with pytest.raises(ConfigError, match="integers"):
+        RegimeParams(0.6, 20.0, 1000, 1, 100.5)
+    with pytest.raises(ConfigError, match="integers"):
+        waterfill(d, 1.7, 100)
+    # integer values pass whatever their type
+    want = waterfill(d, 1, 100)
+    for s, g_c in ((1.0, 100.0), (np.int64(1), np.int32(100))):
+        got = waterfill(d, s, g_c)
+        assert (got.nu, got.exponent_denom) == (want.nu, want.exponent_denom)
+        np.testing.assert_array_equal(got.probs, want.probs)
+        assert RegimeParams(0.6, 20.0, 1000, s, g_c).phi == 98
+
+
 def test_policy_structure_random_instances():
     rng = np.random.default_rng(5)
     for _ in range(40):

@@ -383,8 +383,12 @@ def test_guide_table_at_the_bucket_cap():
     np.testing.assert_array_equal(guide, oneshot_guide(probs))
 
 
+# 7 draws a chunk: the 1200 draws end mid-chunk, and the stream must not see the chunking
+@pytest.mark.parametrize("chunk", [None, 7])
 @pytest.mark.parametrize("m", [1, 7, 1000])
-def test_sample_matches_bisection_of_the_same_stream(m):
+def test_sample_matches_bisection_of_the_same_stream(monkeypatch, m, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(popularity, "_SCAN_CHUNK", chunk)
     dist = MZipfDist(gamma=0.6, q=20.0, m=m)
     cdf = placement_cdf(dist.probs)
     got = dist.sample(np.random.default_rng(5), (30, 40))
