@@ -163,14 +163,6 @@ def _scenario_hash(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _file_sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def _header_line(scn_hash: str, seed) -> str:
     return f"# d2dcache {__version__}, scenario={scn_hash}, seed={'none' if seed is None else seed}"
 
@@ -215,7 +207,8 @@ def _write_json(path: Path, payload: dict):
 
 
 def cmd_fit(args) -> int:
-    records, bad = load_access_log(args.log)
+    digest = hashlib.sha256()  # of the bytes the fit reads, in the same read
+    records, bad = load_access_log(args.log, digest)
     for ln, reason in bad[:20]:
         print(f"warning: {args.log}:{ln}: {reason}", file=sys.stderr)
     if len(bad) > 20:
@@ -255,7 +248,7 @@ def cmd_fit(args) -> int:
     payload = {
         "command": "fit",
         "log": Path(args.log).name,
-        "log_sha256": _file_sha256(args.log),
+        "log_sha256": digest.hexdigest(),
         "m": result.m,
         "search": search_kwargs or "defaults",
         "since": since,

@@ -19,7 +19,8 @@ import numpy as np
 
 from d2dcache.errors import DomainError
 from d2dcache.fitting import (
-    _REFINE_POINTS, _SHRINK, LOG_DTYPE, FitResult, FitSearch, _parse_ts, _q_grid, kl_divergence,
+    _LOW_BYTES, _REFINE_POINTS, _SHRINK, LOG_DTYPE, FitResult, FitSearch, _parse_ts, _q_grid,
+    kl_divergence,
 )
 from d2dcache.policy import _exponent_denom
 from d2dcache.popularity import MZipfDist, partial_sum
@@ -215,6 +216,54 @@ def csv_reader_log(path):
     records = np.empty(len(stamps), dtype=LOG_DTYPE)
     records["user"], records["content"], records["timestamp"] = user_codes, content_codes, stamps
     return records, bad
+
+
+_windows = np.lib.stride_tricks.sliding_window_view
+
+
+class UniqueIdCoder:
+    """``fitting._IdCoder`` as it was before its one-sort ``codes``.
+
+    A short id's word is keyed as there, but every long id's word is 0, and
+    a dict maps each long id to its first row.  ``codes`` finds each key's
+    first row by ``np.unique`` and ``np.minimum.at``, and ranks the first
+    rows by a scatter and a cumulative sum over all rows.  ``add`` takes the
+    row of the batch's first id as its last argument.
+    """
+
+    def __init__(self):
+        self.words: list = [np.zeros(0, dtype=np.uint64)]  # per batch: each row's word
+        self.long_ids: dict = {}  # bytes of a long id -> the row where it first appears
+        self.long_rows: list = [np.zeros(0, dtype=np.int64)]  # per batch: rows with a long id
+        self.long_first: list = [np.zeros(0, dtype=np.int64)]  # ... and that id's first row
+
+    def add(self, raw, lo, hi, first_row: int):
+        size = hi - lo
+        short = np.where(size < 8, size, 0)
+        word = _windows(raw, 8)[lo].view("<u8")[:, 0] & _LOW_BYTES[short]
+        self.words.append(word | short.astype(np.uint64) << np.uint64(56))
+        rows = np.flatnonzero(size >= 8)
+        if len(rows):
+            ids, data, at = self.long_ids, raw.tobytes(), first_row + rows
+            self.long_first.append(np.array([ids.setdefault(data[a:b], r) for a, b, r in zip(
+                lo[rows].tolist(), hi[rows].tolist(), at.tolist())], dtype=np.int64))
+            self.long_rows.append(at)
+
+    def codes(self) -> np.ndarray:
+        words = np.concatenate(self.words)
+        _, inverse = np.unique(words, return_inverse=True)
+        self.words = words = []  # both copies freed before the row-sized arrays below
+        # each key's first row; np.unique's stable sort for return_index is several times slower
+        first = np.full(inverse.max(initial=-1) + 1, len(inverse))
+        np.minimum.at(first, inverse, np.arange(len(inverse)))
+        first = first[inverse]  # now per row; the rows of key 0, the long ids, are set next
+        del inverse
+        first[np.concatenate(self.long_rows)] = np.concatenate(self.long_first)
+        rank = np.zeros(len(first), dtype=np.int64)  # 1 at each first row, then its rank
+        rank[first] = 1
+        np.cumsum(rank, out=rank)
+        rank -= 1
+        return rank[first]
 
 
 def loop_fit_mzipf(emp, m=None, search=None, normalizer=partial_sum):

@@ -95,6 +95,27 @@ class TestFit:
         assert hashes[0] != hashes[1]
         assert hashes[0] == hashes[2]
 
+    def test_log_hash_is_of_the_bytes_the_fit_read(self, tmp_path, monkeypatch):
+        # a row appended to the log while the fit runs was not parsed, so it is not hashed
+        body = "user_id,content_id\nu1,f1\nu2,f1\nu3,f2\n"
+        logs = [tmp_path / d / "accesses.csv" for d in ("grows", "kept")]
+        for log in logs:
+            log.parent.mkdir()
+            log.write_text(body)
+
+        def append_then_dedupe(records):
+            with open(logs[0], "a") as fh:
+                fh.write("u4,f3\n")
+            return dedupe_accesses(records)
+
+        monkeypatch.setattr(cli, "dedupe_accesses", append_then_dedupe)
+        results = []
+        for i, log in enumerate(logs):
+            assert main(["fit", "--log", str(log), "--out", str(tmp_path / f"o{i}")]) == 0
+            results.append((tmp_path / f"o{i}" / "fit_result.json").read_text())
+        assert logs[0].read_text() != body
+        assert results[0] == results[1]
+
     def test_empty_log_is_config_error(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
         log.write_text("user_id,content_id\n")

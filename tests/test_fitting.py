@@ -1,9 +1,11 @@
 """Tests for access-log deduplication and popularity fitting."""
 
+import hashlib
 import io
 import math
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -28,7 +30,13 @@ from d2dcache.fitting import (
 )
 from d2dcache.popularity import MZipfDist, partial_sum
 
-from oracles import csv_reader_log, hashmap_dedupe, loop_fit_mzipf, streamed_partial_sum
+from oracles import (
+    UniqueIdCoder,
+    csv_reader_log,
+    hashmap_dedupe,
+    loop_fit_mzipf,
+    streamed_partial_sum,
+)
 
 
 def rec(*rows):
@@ -58,6 +66,14 @@ _LONG_ID_LOGS = ["user_id,content_id\n" + "".join(f"{u},{c}\n" for u, c in rows)
     [("abcdefg", "c1"), ("abcdefgh", "c1234567"), ("abcdefg", "c123456"), ("abcdefghij", "c1"),
      ("abcdefgh", "c123456"), ("abcdefg", "c1234567"), ("abcdefg", "c1")],
 )]
+# quote-free logs with no CR, with lone CRs, with blank lines, and with a CRLF whose CR ends
+# a read of 5 or of 64 characters (index 319), so the pair is cut between two reads
+_LINE_END_LOGS = [
+    "user_id,content_id\nu1,c1\nu2,c1\n",
+    "user_id,content_id\ru1,c1\ru2,c1\r\ru3,c2",
+    "user_id,content_id\n\nu1,c1\r\n\r\n\nu2,c2\n\r\n",
+    ("user_id,content_id\n" + "u1,c1\n" * 49 + "u1,c").ljust(319, "2") + "\r\nu2,c1\r\n",
+]
 
 
 @st.composite
@@ -100,6 +116,18 @@ def stamped_logs(draw):
     row = st.tuples(ids, ids, stamps()).map(",".join)
     line_end = draw(st.sampled_from(["\n", "\r\n"]))
     return line_end.join(["user_id,content_id,timestamp", *draw(st.lists(row, max_size=40))])
+
+
+@st.composite
+def id_batches(draw):
+    """Batches of ids for an id coder: drawn from a few ids, so each repeats, short (under
+    8 bytes, NUL bytes included) and long alike; often all long, one row or none."""
+    size = st.sampled_from([st.integers(1, 7), st.integers(8, 12), st.integers(1, 12)])
+    pool = draw(st.lists(draw(size).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+                         min_size=1, max_size=6, unique=True))
+    ids = draw(st.lists(st.sampled_from(pool), max_size=draw(st.sampled_from([1, 40]))))
+    cuts = sorted(draw(st.lists(st.integers(0, len(ids)), max_size=3)))
+    return [ids[a:b] for a, b in zip([0, *cuts], [*cuts, len(ids)])]
 
 
 def load_outcome(load, path):
@@ -476,6 +504,11 @@ class TestIO:
     @example(text=_LONG_ID_LOGS[1])
     @example(text=_LONG_ID_LOGS[2])
     @example(text=_LONG_ID_LOGS[3])
+    @example(text=_LINE_END_LOGS[0])
+    @example(text=_LINE_END_LOGS[1])
+    @example(text=_LINE_END_LOGS[2])
+    @example(text=_LINE_END_LOGS[3])
+    @example(text="user_id,content_id\n \u3000u1,c1\xa0\t\nu1,c1\nu2,c1\n")  # a wide blank inside
     def test_matches_csv_reader_oracle(self, block, text):
         """Records, warnings and errors equal csv.reader's loop, with blocks
         so short that records and CRLF pairs straddle them, and short and
@@ -509,6 +542,35 @@ class TestIO:
         records, bad = load_access_log(path)
         assert not bad
         assert records["timestamp"].tolist() == [float(t) for t in stamps]
+
+    @pytest.mark.skipif(not hasattr(time, "tzset"), reason="needs time.tzset")
+    def test_iso_times_without_offset_read_as_utc(self, tmp_path, monkeypatch):
+        from d2dcache.cli import _parse_bound
+        path = tmp_path / "log.csv"
+        path.write_text("user_id,content_id,timestamp\nu1,c1,2023-11-15T00:00:00\n"
+                        "u2,c1,2023-11-15T09:00:00+09:00\nu3,c1,1700006400\n")
+        try:
+            # POSIX rules, so no time zone database is needed: UTC+9 and US Eastern
+            for tz in ("UTC0", "JST-9", "EST5EDT,M3.2.0,M11.1.0"):
+                monkeypatch.setenv("TZ", tz)
+                time.tzset()
+                records, bad = load_access_log(path)
+                assert not bad and records["timestamp"].tolist() == [1700006400.0] * 3
+                assert _parse_bound("2023-11-15T00:00:00") == 1700006400.0
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+
+    @pytest.mark.parametrize("block", [5, 1 << 18])
+    def test_digest_hashes_the_bytes_read(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(fitting, "_BLOCK", block)
+        path = tmp_path / "log.csv"
+        path.write_bytes("user_id,content_id\r\n".encode() +
+                         "".join(f"u{i},é{i % 7}\n" for i in range(3000)).encode())
+        digest = hashlib.sha256()
+        records, _ = load_access_log(path, digest)
+        assert len(records) == 3000
+        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="csv rejects NUL before 3.11")
     def test_ids_apart_by_length_and_nul(self, tmp_path):
@@ -547,6 +609,29 @@ class TestIO:
         assert lines[1].startswith("1,2,")
         assert float(lines[1].split(",")[2]) == pytest.approx(2 / 3)
         assert len(lines) == 3
+
+
+class TestIdCoder:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(batches=id_batches())
+    @example(batches=[[]])
+    @example(batches=[[b"u1"]])
+    @example(batches=[[b"abcdefgh", b"https://x/1", b"abcdefgh"], [], [b"https://x/1"]])
+    @example(batches=[[b"abcdefg", b"abcdefgh", b"a"], [b"abcdefgh\0", b"a", b"abcdefg"]])
+    def test_matches_unique_oracle(self, batches):
+        """Codes equal the np.unique coder's and a dict's, bit for bit, across batches."""
+        coder, oracle, seen, rows = fitting._IdCoder(), UniqueIdCoder(), {}, 0
+        for ids in batches:
+            raw = np.frombuffer(b"".join(ids) + fitting._PAD, dtype=np.uint8)
+            size = np.array([len(i) for i in ids], dtype=np.int64)
+            hi = np.cumsum(size)
+            lo = hi - size
+            coder.add(raw, lo, hi)
+            oracle.add(raw, lo, hi, rows)
+            rows += len(ids)
+        got, want = coder.codes(), oracle.codes()
+        assert got.tolist() == want.tolist()
+        assert got.tolist() == [seen.setdefault(i, len(seen)) for ids in batches for i in ids]
 
 
 class TestSyntheticRecords:
