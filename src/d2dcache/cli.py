@@ -65,11 +65,10 @@ def load_scenario(path) -> dict:
     A ``fit_result`` key points at a FitResult JSON (relative paths are
     resolved against the scenario file) and replaces gamma/q/m.
     """
-    text = Path(path).read_text()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"scenario is not valid JSON: {e}")
+    try:  # bytes: json detects UTF-8, -16 or -32 as RFC 8259 says, on every host
+        raw = json.loads(Path(path).read_bytes())
+    except (ValueError, RecursionError) as e:  # undecodable bytes; nesting too deep
+        raise ConfigError(f"scenario {path} is not valid JSON: {e}")
     if not isinstance(raw, dict):
         raise ConfigError("scenario must be a JSON object")
     unknown = sorted(set(raw) - SCENARIO_KEYS)
@@ -84,12 +83,12 @@ def load_scenario(path) -> dict:
         if not fr_path.is_absolute():
             fr_path = Path(path).parent / fr_path
         try:
-            fr = json.loads(fr_path.read_text())
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"fit_result file is not valid JSON: {e}")
+            fr = json.loads(fr_path.read_bytes())
+        except (ValueError, RecursionError) as e:
+            raise ConfigError(f"fit_result file {fr_path} is not valid JSON: {e}")
         for k in ("gamma", "q", "m"):
-            if k not in fr:
-                raise ConfigError(f"fit_result file missing {k!r}")
+            if not isinstance(fr, dict) or k not in fr:
+                raise ConfigError(f"fit_result file {fr_path} is not an object with {k!r}")
             raw[k] = fr[k]
         del raw["fit_result"]
     for k in _INT_KEYS:

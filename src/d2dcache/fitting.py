@@ -21,7 +21,6 @@ import csv
 import io
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -259,7 +258,7 @@ def _parse_ts(text: str) -> float:
         return t.replace(tzinfo=t.tzinfo or timezone.utc).timestamp()
 
 
-# characters read per block: at most 1 MiB of UTF-8, so the per-block arrays stay a few MB
+# bytes read per block, so the per-block arrays stay a few MB
 _BLOCK = 1 << 18
 # rows per batch when csv.reader tokenises
 _CSV_ROWS = 1 << 12
@@ -275,47 +274,54 @@ _BYTE_SUM = np.uint64(0x0101010101010101)  # the top byte of w * _BYTE_SUM sums 
 # (multiplier, shift, mask) of Lemire's steps folding 8 digits, the first in the low byte
 _FOLD = [tuple(map(np.uint64, step)) for step in ((10 << 8 | 1, 8, 0x00FF00FF00FF00FF),
          (100 << 16 | 1, 16, 0x0000FFFF0000FFFF), (10000 << 32 | 1, 32, 0xFFFFFFFF))]
-_ESCAPED = re.compile("[\udc80-\udcff]")
 
 
-def _undecodable_line(path, encoding: str) -> int:
-    """Number of the line that holds the file's first undecodable byte."""
-    with open(path, encoding=encoding, errors="surrogateescape", newline="") as fh:
-        return next((ln for ln, line in enumerate(fh, start=1) if _ESCAPED.search(line)), 0)
+def _line_at(fh, pos: int) -> int:
+    """Line number of byte ``pos`` of ``fh``: 1 + the LF, CRLF and lone CR before it."""
+    fh.seek(0)
+    line, cr = 1, False  # cr: the last byte read is a CR
+    while pos > 0 and (data := fh.read(min(pos, _BLOCK))):
+        pos -= len(data)
+        line += data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+        line -= cr and data[0] == 10  # a CRLF across two reads
+        cr = data[-1] == 13
+    return line
 
 
-def _blocks(fh, path):
-    """The file's text in pieces of about ``_BLOCK`` characters, each cut after a line end.
+def _blocks(fh, digest):
+    """The file's bytes in pieces of about ``_BLOCK`` bytes, each checked to be UTF-8 and,
+    but for the last, cut after a line end; ``digest``, when given, is fed each read.
 
-    A CR ends a piece only when the character after it has been read, so no
-    CRLF is split.  The last piece may end without a line end.
+    A CR ends a piece only when the byte after it has been read, so no CRLF is
+    split; no UTF-8 character holds a line end byte, so none is split either.
     """
-    carry = ""
-    while True:
-        try:
-            text = fh.read(_BLOCK)
-        except UnicodeDecodeError as e:
-            ln = _undecodable_line(path, fh.encoding)
-            raise DomainError(f"{path}:{ln}: not {fh.encoding} text ({e.reason})") from None
-        if not text:
-            break
-        text = carry + text
-        cut = max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1
+    start, carry = 0, b""
+    while data := carry + (read := fh.read(_BLOCK)):
+        if digest is not None:
+            digest.update(read)
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1 if read else len(data)
+        piece, carry = data[:cut], data[cut:]
+        if not piece.isascii():  # a fast test first: most logs are ASCII
+            try:
+                piece.decode()
+            except UnicodeDecodeError as e:
+                ln = _line_at(fh, start + e.start)
+                raise DomainError(f"{fh.name}:{ln}: not UTF-8 text ({e.reason})") from None
         if cut:
-            yield text[:cut]
-        carry = text[cut:]
-    if carry:
-        yield carry
+            yield piece
+        if not read:  # the end of the file: a growing file is not read past it
+            return
+        start += cut
 
 
-def _split(text: str):
-    """Tokenise quote-free text as csv.reader does: records end at LF, CRLF or
+def _split(piece: bytes):
+    """Tokenise quote-free UTF-8 as csv.reader does: records end at LF, CRLF or
     a lone CR, and fields at commas.  See ``_fields`` for what is returned."""
-    if "\r" in text:  # every record end made one LF; _blocks splits no CRLF
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    if text[-1] != "\n":
-        text += "\n"
-    raw = np.frombuffer(text.encode() + _PAD, dtype=np.uint8)
+    if b"\r" in piece:  # every record end made one LF; _blocks splits no CRLF
+        piece = piece.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not piece.endswith(b"\n"):
+        piece += b"\n"
+    raw = np.frombuffer(piece + _PAD, dtype=np.uint8)
     end = raw == 10  # where each record ends
     hi = np.flatnonzero(end | (raw == 44))  # every field ends at a comma or a record end
     lo = np.zeros_like(hi)
@@ -331,9 +337,9 @@ def _split(text: str):
     return raw, lo, hi, counts
 
 
-def _csv_fields(texts):
-    """csv.reader's records of the text pieces, batched in the form ``_fields`` returns."""
-    reader = csv.reader(line for text in texts for line in io.StringIO(text, newline=""))
+def _csv_fields(pieces):
+    """csv.reader's records of the UTF-8 pieces, batched in the form ``_fields`` returns."""
+    reader = csv.reader(ln for piece in pieces for ln in io.StringIO(piece.decode(), newline=""))
     while batch := list(itertools.islice(reader, _CSV_ROWS)):
         parts = [field.encode() for row in batch for field in row]
         size = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
@@ -342,19 +348,19 @@ def _csv_fields(texts):
         yield np.frombuffer(b"".join(parts) + _PAD, dtype=np.uint8), hi - size, hi, counts
 
 
-def _fields(texts):
-    """``(raw, lo, hi, counts)`` per batch of records.
+def _fields(pieces):
+    """``(raw, lo, hi, counts)`` per batch of records from UTF-8 pieces.
 
-    ``raw`` is the batch as UTF-8 bytes plus ``_PAD``, field i is
+    ``raw`` is the batch's bytes plus ``_PAD``, field i is
     ``raw[lo[i]:hi[i]]`` and record j has ``counts[j]`` fields, in order.  A
     ``"`` can quote commas and line breaks, and Python 3.10's csv.reader
     rejects NUL, so from the first piece with either one csv.reader tokenises.
     """
-    for text in texts:
-        if '"' in text or "\0" in text:
-            yield from _csv_fields(itertools.chain([text], texts))
+    for piece in pieces:
+        if b'"' in piece or b"\0" in piece:
+            yield from _csv_fields(itertools.chain([piece], pieces))
             return
-        yield _split(text)
+        yield _split(piece)
 
 
 def _strip(raw, lo, hi):
@@ -362,11 +368,12 @@ def _strip(raw, lo, hi):
     first, last = raw[lo], raw[hi - 1]  # a field with both edge bytes in 33..126 is as is
     if not ((lo < hi) & ((first - np.uint8(33) >= 94) | (last - np.uint8(33) >= 94))).any():
         return lo, hi
-    if ((lo < hi) & (_BLANK[first] | _BLANK[last])).any():
+    if ((lo < hi) & (np.take(_BLANK, first) | np.take(_BLANK, last))).any():
         pos = np.arange(len(raw))
         # first non-blank byte at or after each position; one past the last non-blank before it
-        nxt = np.minimum.accumulate(np.where(_BLANK[raw], len(raw), pos)[::-1])[::-1]
-        prv = np.concatenate(([0], np.maximum.accumulate(np.where(_BLANK[raw], 0, pos + 1))))
+        blank = np.take(_BLANK, raw)
+        nxt = np.minimum.accumulate(np.where(blank, len(raw), pos)[::-1])[::-1]
+        prv = np.concatenate(([0], np.maximum.accumulate(np.where(blank, 0, pos + 1))))
         lo = np.minimum(nxt[lo], hi)
         hi = np.maximum(prv[hi], lo)
         first, last = raw[lo], raw[hi - 1]
@@ -508,31 +515,17 @@ class _LogBuilder:
         return records
 
 
-class _DigestFile(io.FileIO):
-    """A file opened for reading bytes that feeds each byte it reads to ``digest``."""
-
-    def __init__(self, path, digest):
-        super().__init__(path)
-        self.digest = digest
-
-    def readinto(self, b):
-        n = super().readinto(b)
-        self.digest.update(memoryview(b)[:n])
-        return n
-
-
 def load_access_log(path, digest=None):
     """Read a user_id,content_id[,timestamp] CSV.
 
     Returns ``(records, bad)``: a ``LOG_DTYPE`` array, ids coded by first
     appearance, and (line_number, reason) per skipped row; parsing continues.
-    Records, fields and whitespace are read as csv.reader and ``str.strip``
-    read them.  A file that does not decode raises ``DomainError``.  A hashlib
-    ``digest`` is fed the bytes as the parse reads them: it hashes what was parsed.
+    The file is read as UTF-8 on every host, and one that is not raises ``DomainError``;
+    records, fields and whitespace are read as csv.reader and ``str.strip`` read them.
+    A hashlib ``digest`` is fed the bytes as the parse reads them: it hashes what was parsed.
     """
-    raw = io.FileIO(path) if digest is None else _DigestFile(path, digest)
-    with io.TextIOWrapper(io.BufferedReader(raw), newline="") as fh:
-        batches = _fields(_blocks(fh, path))
+    with open(path, "rb") as fh:
+        batches = _fields(_blocks(fh, digest))
         first = next(batches, None)
         if first is None:
             raise DomainError("empty file: expected header user_id,content_id[,timestamp]")

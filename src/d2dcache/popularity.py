@@ -225,8 +225,8 @@ class MZipfDist:
         ``sum_{j=1..m} (j + q)**(-gamma)``, by :func:`partial_sum` in O(1).
     probs : numpy.ndarray
         Full pmf over ranks, ``probs[f-1] = p(f)``; read-only.  Built on
-        first use (sampling, :meth:`pmf` or a caller); analysis reads
-        prefixes through :meth:`head` and never builds it.
+        first use (:meth:`pmf` or a caller); analysis and sampling read
+        prefixes through :meth:`head` and never build it.
     """
 
     gamma: float
@@ -269,8 +269,8 @@ class MZipfDist:
         (over ``1..m`` at ``m_star = m``).  ``cumsum`` is sequential, so a uniform gets
         the full table's rank wherever that is ``<= m_star``.  The last table built is kept."""
         # the top edge is forced to 1.0, so the mass appended past m_star is never read
-        probs = self.probs if m_star == self.m else np.append(self.head(m_star), 0.0)
-        return _guide_table(probs)
+        probs = self.head(m_star)
+        return _guide_table(probs if m_star == self.m else np.append(probs, 0.0))
 
     def pmf(self, f):
         """Probability of rank ``f`` (scalar or array of ints in ``1..m``)."""

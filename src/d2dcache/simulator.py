@@ -178,16 +178,20 @@ class SimResult:
     trials: int
 
 
-def _as_seedseq(seed) -> np.random.SeedSequence:
-    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+def _child(seed, key: int) -> np.random.SeedSequence:
+    """Child ``key`` of ``seed``, an int or a ``SeedSequence``, as ``spawn`` would make it;
+    ``seed`` is read and never advanced."""
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return np.random.SeedSequence(seq.entropy, spawn_key=(*seq.spawn_key, key),
+                                  pool_size=seq.pool_size)
 
 
 def monte_carlo(config: NetworkConfig, dist, policy: CachingPolicy, trials: int,
                 seed) -> SimResult:
     """Average outage and per-user throughput over independent trials.
 
-    Bitwise deterministic in (config, dist, policy, trials, seed): each
-    trial gets its own child generator, spawned in trial order as it starts.
+    Bitwise deterministic in (config, dist, policy, trials, seed): trial t
+    draws from child t of ``seed``, made as the trial starts.
     """
     if trials < 2:
         raise DomainError(f"need at least 2 trials for a stderr, got {trials}")
@@ -195,9 +199,8 @@ def monte_carlo(config: NetworkConfig, dist, policy: CachingPolicy, trials: int,
         outages, tmins = np.empty((2, trials))
     except (ValueError, MemoryError) as e:
         raise DomainError(f"cannot hold the results of {trials} trials: {e}") from None
-    seq = _as_seedseq(seed)
     for t in range(trials):
-        real = realize(config, dist, policy, np.random.default_rng(seq.spawn(1)[0]))
+        real = realize(config, dist, policy, np.random.default_rng(_child(seed, t)))
         _, tmins[t], outages[t] = throughput_accounting(config, real)
         del real  # freed before the next trial allocates, as in realize
 
@@ -245,15 +248,13 @@ def curve_points(config: NetworkConfig, dist, policy: CachingPolicy) -> list[Tra
 def sweep(configs, dist, trials: int, seed) -> list[TradeoffPoint]:
     """Simulated point, then :func:`curve_points`, for each config in order.
 
-    Each config is seeded by (seed, n_clusters), so adding or removing
-    configs does not perturb the others.
+    Each config is seeded by child n_clusters of ``seed``, so adding or
+    removing configs does not perturb the others.
     """
-    master = _as_seedseq(seed)
     points = []
     for cfg in configs:
         policy = waterfill(dist, cfg.s, cfg.g_c)
-        child = np.random.SeedSequence(entropy=master.entropy, spawn_key=(cfg.n_clusters,))
-        sim = monte_carlo(cfg, dist, policy, trials, child)
+        sim = monte_carlo(cfg, dist, policy, trials, _child(seed, cfg.n_clusters))
         points.append(
             TradeoffPoint(
                 g_c=cfg.g_c,

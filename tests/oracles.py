@@ -182,7 +182,7 @@ def csv_reader_log(path):
     contents: dict = {}
     user_codes, content_codes, stamps = array("q"), array("q"), array("d")
     bad = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

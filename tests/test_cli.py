@@ -1,7 +1,6 @@
 """End-to-end CLI tests driven through main(argv)."""
 
 import argparse
-import codecs
 import contextlib
 import io
 import json
@@ -223,13 +222,9 @@ class TestFit:
     def test_undecodable_log_is_domain_error(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
         log.write_bytes(b"user_id,content_id\nu1,c1\nu1,c\xff1\nu2,c1\n")
-        with open(log) as fh:
-            encoding = fh.encoding
-        if codecs.lookup(encoding).name != "utf-8":
-            pytest.skip("0xff decodes in this locale's encoding")
         rc = main(["fit", "--log", str(log), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert f"error: {log}:3: not {encoding} text" in capsys.readouterr().err
+        assert f"error: {log}:3: not UTF-8 text" in capsys.readouterr().err
 
     def test_since_until_filters_on_timestamp(self, tmp_path, capsys):
         log = tmp_path / "log.csv"
@@ -783,6 +778,27 @@ class TestScenarioValidation:
         scn = tmp_path / "s.json"
         scn.write_text("{not json")
         assert main(["analyze", "--scenario", str(scn)]) == 2
+
+    def test_files_read_as_json_bytes(self, tmp_path, capsys):
+        # json detects UTF-8, -16 or -32 from the bytes on every host; 0xff is none of them
+        fr, out = tmp_path / "fr.json", ["--out", str(tmp_path / "o")]
+        scn = scenario_file(tmp_path / "s.json", n=10000, fit_result="fr.json", n_clusters=100)
+        fr.write_bytes(b'{"gamma": 0.6, "q": 20.0, "m": 1000, "note": "\xff"}')
+        assert main(["policy", "--scenario", scn, *out]) == 2
+        assert f"fit_result file {fr} is not valid JSON" in capsys.readouterr().err
+        for body in ("5", '"gamma q m"', "[]"):
+            fr.write_text(body)
+            assert main(["policy", "--scenario", scn, *out]) == 2
+            assert f"fit_result file {fr} is not an object with 'gamma'" in capsys.readouterr().err
+        bad = tmp_path / "bad.json"
+        # json's decoder recurses once per level of nesting
+        for body in (b'{"n": 10000, "note": "\xff"}', b"[" * 10**5 + b"]" * 10**5):
+            bad.write_bytes(body)
+            assert main(["policy", "--scenario", str(bad), *out]) == 2
+            assert f"scenario {bad} is not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        fr.write_text(json.dumps({"gamma": 0.6, "q": 20.0, "m": 1000}), encoding="utf-16")
+        assert main(["policy", "--scenario", scn, *out]) == 0
 
     def test_wrong_type_rejected(self, tmp_path, capsys):
         scn = tmp_path / "s.json"

@@ -3,6 +3,8 @@
 import hashlib
 import io
 import math
+import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -67,7 +69,7 @@ _LONG_ID_LOGS = ["user_id,content_id\n" + "".join(f"{u},{c}\n" for u, c in rows)
      ("abcdefgh", "c123456"), ("abcdefg", "c1234567"), ("abcdefg", "c1")],
 )]
 # quote-free logs with no CR, with lone CRs, with blank lines, and with a CRLF whose CR ends
-# a read of 5 or of 64 characters (index 319), so the pair is cut between two reads
+# a read of 5 or of 64 bytes (index 319), so the pair is cut between two reads
 _LINE_END_LOGS = [
     "user_id,content_id\nu1,c1\nu2,c1\n",
     "user_id,content_id\ru1,c1\ru2,c1\r\ru3,c2",
@@ -140,11 +142,10 @@ def load_outcome(load, path):
 
 
 def assert_reads_as_csv_reader(text, block):
-    """``load_access_log`` in blocks of ``block`` characters gives what csv.reader's loop gives."""
+    """``load_access_log`` in blocks of ``block`` bytes gives what csv.reader's loop gives."""
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "log.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        path.write_bytes(text.encode())
         want = load_outcome(csv_reader_log, path)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fitting, "_BLOCK", block)
@@ -571,6 +572,59 @@ class TestIO:
         records, _ = load_access_log(path, digest)
         assert len(records) == 3000
         assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_no_read_past_the_end_of_the_file(self, tmp_path):
+        # a log that grows after the read that found its end is parsed as it was then
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"user_id,content_id\nu1,c1\nu2,c")
+
+        class Grow:
+            def update(self, data):
+                if not data:
+                    with open(path, "ab") as fh:
+                        fh.write(b"2\nu3,c3\n")
+
+        records, bad = load_access_log(path, Grow())
+        assert records["content"].tolist() == [0, 1] and not bad
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_multibyte_ids_across_reads_match_csv_reader_oracle(self, block):
+        # 2-, 3- and 4-byte characters cut by every read, CRLF pairs too, and padded by
+        # wide blanks; quoted, the same rows go through csv.reader
+        rows = [("é", "日本"), ("ü\u3000", "𝄞"), ("u1", "\xa0ñandú"), ("é", "𝄞𝄞"), ("日本", "日本")]
+        for quote in ("", '"'):
+            text = "user_id,content_id\r\n" + "".join(
+                f"{u},{quote}{c}{quote}\r\n" for u, c in rows)
+            assert_reads_as_csv_reader(text, block)
+
+    def test_utf8_log_under_an_ascii_locale(self, tmp_path):
+        # the log is UTF-8 whatever the locale: no locale coercion and no UTF-8 mode
+        path = tmp_path / "log.csv"
+        path.write_bytes("user_id,content_id\ncafé,日本\nu2,𝄞\ncafé,c\n".encode())
+        records, bad = load_access_log(path)
+        assert records["user"].tolist() == [0, 1, 0] and records["content"].tolist() == [0, 1, 2]
+        src = str(Path(fitting.__file__).parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys; from d2dcache.fitting import load_access_log; "
+                "r, bad = load_access_log(sys.argv[1]); print(r.tobytes().hex(), bad)")
+        out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split(maxsplit=1) == [records.tobytes().hex(), f"{bad}\n"]
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 1 << 18])
+    def test_not_utf8_names_the_line(self, tmp_path, block, monkeypatch):
+        # lines end at CRLF (here split by reads of 1 byte), a lone CR and LF
+        monkeypatch.setattr(fitting, "_BLOCK", block)
+        path = tmp_path / "log.csv"
+        path.write_bytes(b"user_id,content_id\r\nu1,c1\ru2,c2\r\n\nu3,\xc3\xa9\nu3,c\xff\n")
+        with pytest.raises(DomainError, match=r"log.csv:6: not UTF-8 text \(invalid start byte\)"):
+            load_access_log(path)
+        # a character cut short by the end of the file
+        path.write_bytes("user_id,content_id\nu1,é\r\nu2,".encode() + "日".encode()[:2])
+        with pytest.raises(DomainError, match=r":3: not UTF-8 text \(unexpected end of data\)"):
+            load_access_log(path)
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="csv rejects NUL before 3.11")
     def test_ids_apart_by_length_and_nul(self, tmp_path):

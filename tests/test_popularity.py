@@ -336,6 +336,14 @@ def test_sampling_deterministic_given_seed():
     assert isinstance(d.sample(np.random.default_rng(0)), int)
 
 
+def test_sampling_never_builds_the_full_pmf():
+    # the request table over all m ranks is built from head(m), which is bit-equal to probs
+    MZipfDist._request_table.cache_clear()  # an equal dist's table would be reused
+    d = MZipfDist(gamma=1.2, q=3.0, m=200)
+    d.sample(np.random.default_rng(0), 10)
+    assert "probs" not in vars(d)
+
+
 @pytest.mark.parametrize("m", [1, 2, 7, 1000, 100_000])
 def test_guide_table_inversion_matches_bisection(m):
     dist = MZipfDist(gamma=1.28, q=34.0, m=m)

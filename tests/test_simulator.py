@@ -312,6 +312,17 @@ class TestMonteCarlo:
         b = monte_carlo(cfg, dist, policy, trials=20, seed=7)
         assert a == b
 
+    def test_seed_sequence_is_read_not_advanced(self):
+        # a SeedSequence seed is a value: a second call with it repeats the first,
+        # and an int seed draws what the SeedSequence of that int draws
+        dist = MZipfDist(0.8, 5.0, 200)
+        cfg = NetworkConfig(n=400, n_clusters=16, s=1)
+        policy = waterfill(dist, 1, cfg.g_c)
+        ss = np.random.SeedSequence(7)
+        a = monte_carlo(cfg, dist, policy, trials=20, seed=ss)
+        assert monte_carlo(cfg, dist, policy, trials=20, seed=ss) == a
+        assert monte_carlo(cfg, dist, policy, trials=20, seed=7) == a
+
     @pytest.mark.parametrize("cfg,seed,want", [
         (NetworkConfig(n=400, n_clusters=100, s=1), 7,
          ("0x1.de872b020c49bp-1", "0x1.42b49a885bf9fp-9",
@@ -501,3 +512,12 @@ class TestSweep:
         sim_b = [p for p in b if p.source == "simulated" and p.g_c == 100]
         sim_c = [p for p in c if p.source == "simulated"]
         assert sim_b == sim_c
+
+    def test_spawned_seeds_give_different_sweeps(self):
+        # each config's seed derives from the whole seed, spawn key included
+        dist = MZipfDist(0.6, 20.0, 1000)
+        first, second = np.random.SeedSequence(5).spawn(2)
+        a = sweep(self.configs([100]), dist, trials=6, seed=first)
+        b = sweep(self.configs([100]), dist, trials=6, seed=second)
+        assert a[0].source == b[0].source == "simulated" and a[0] != b[0]
+        assert sweep(self.configs([100]), dist, trials=6, seed=first) == a
