@@ -227,35 +227,35 @@ def hit_rate_floor(p: RegimeParams) -> ClampedValue:
     return _clamp01(val)
 
 
-def _check_plateau_order(p: RegimeParams):
-    limit = COLLAPSE_FACTOR * p.s * p.g_c / p.gamma
-    if p.q > limit:
-        raise RegimeError(
-            f"q = {p.q} exceeds {COLLAPSE_FACTOR:g}x s*g_c/gamma = {limit:.6g}; "
-            "plateau dominates the cluster cache and outage collapses toward 1"
-        )
+def _classified(p: RegimeParams, form: str, labels: tuple) -> Classification:
+    """``classify_regime(p)``, or ``RegimeError`` unless ``form`` applies there:
+    the label is one of ``labels`` and the classification carries no warning."""
+    cls = classify_regime(p)
+    if cls.label not in labels or cls.warnings:
+        raise RegimeError("; ".join((
+            f"{form} does not apply at a point classified {cls.label}", *cls.warnings,
+            "tradeoff_small_gamma covers r1, r2 and r3 (gamma < 1) and "
+            "tradeoff_large_gamma covers gamma > 1 with g_c <= m/10")))
+    return cls
 
 
-def tradeoff_small_gamma(p: RegimeParams, regime: str) -> TradeoffPoint:
+def tradeoff_small_gamma(p: RegimeParams) -> TradeoffPoint:
     """Leading-order throughput-outage point for ``gamma < 1`` at ``p``'s geometry.
 
-    ``regime`` selects which growth law of the cluster size applies:
+    ``classify_regime(p)`` names the growth law of the cluster size:
 
     * ``"r1"`` - ``g_c = c3 * m**alpha``;
     * ``"r2"`` - ``g_c`` between ``m**alpha`` and saturation;
     * ``"r3"`` - saturated support, ``g_c = rho*m/(c1*s)``.
 
-    Every constant comes from ``p``, and the point carries ``p.g_c``; to
-    trace a law, build one ``RegimeParams`` per cluster size.  Outage (and,
-    in r1, throughput) is clamped with a flag when the leading-order form
-    exits its range at small scale.
+    Any other label (collapse, ``gamma >= 1``) raises ``RegimeError``
+    carrying the classification's warnings.  Every constant comes from
+    ``p``, and the point carries ``p.g_c``; to trace a law, build one
+    ``RegimeParams`` per cluster size.  Outage (and, in r1, throughput) is
+    clamped with a flag when the leading-order form exits its range at
+    small scale.
     """
-    if p.gamma >= 1.0:
-        raise RegimeError(
-            f"small-gamma tradeoff needs gamma < 1, got {p.gamma}; "
-            "use tradeoff_large_gamma"
-        )
-    _check_plateau_order(p)
+    regime = _classified(p, "tradeoff_small_gamma", ("r1", "r2", "r3")).label
     ck = p.c_rate / p.k
     c1 = p.c1
     if regime == "r1":
@@ -282,36 +282,27 @@ def tradeoff_small_gamma(p: RegimeParams, regime: str) -> TradeoffPoint:
             source="small_gamma_r2",
             clamped=po.clamped,
         )
-    if regime == "r3":
-        floor = hit_rate_floor(p)  # raises for rho < gamma
-        return TradeoffPoint(
-            g_c=p.g_c,
-            outage=1.0 - floor.value,
-            throughput=ck * p.s * c1 / (p.rho * p.m),
-            source="small_gamma_r3",
-            clamped=floor.clamped,
-        )
-    raise DomainError(f"unknown regime {regime!r}; expected r1, r2 or r3")
+    floor = hit_rate_floor(p)  # r3; raises for rho < gamma
+    return TradeoffPoint(
+        g_c=p.g_c,
+        outage=1.0 - floor.value,
+        throughput=ck * p.s * c1 / (p.rho * p.m),
+        source="small_gamma_r3",
+        clamped=floor.clamped,
+    )
 
 
 def tradeoff_large_gamma(p: RegimeParams) -> TradeoffPoint:
     """Leading-order throughput-outage point for ``gamma > 1``.
 
     ``po = c6^(gamma-1) * (s*c1 + c6) / (s*c1/gamma + c6)^gamma`` with
-    ``c6 = q/g_c``; requires ``g_c <= m/10`` as the finite proxy for
-    ``g_c = o(m)``.  When ``q <= s*g_c/(10*gamma)`` the point carries a
-    ``vanishing_outage`` note: the outage tends to zero at scale.
+    ``c6 = q/g_c``.  It applies where ``classify_regime(p)`` gives a
+    large-gamma label without warning (``g_c <= m/10`` stands in for
+    ``g_c = o(m)``) and raises ``RegimeError`` elsewhere.  A point labelled
+    ``large_gamma_vanishing`` carries a ``vanishing_outage`` note: the
+    outage tends to zero at scale.
     """
-    if p.gamma <= 1.0:
-        raise RegimeError(
-            f"large-gamma tradeoff needs gamma > 1, got {p.gamma}; "
-            "use tradeoff_small_gamma"
-        )
-    if p.g_c > p.m / SPARSE_FACTOR:
-        raise RegimeError(
-            f"g_c = {p.g_c} > m/{SPARSE_FACTOR:g} = {p.m / SPARSE_FACTOR:.6g}; "
-            "cluster is not small relative to the library"
-        )
+    label = _classified(p, "tradeoff_large_gamma", ("large_gamma", "large_gamma_vanishing")).label
     c1 = p.c1
     c6 = p.c5  # q/g_c
     po = _clamp01(
@@ -319,16 +310,13 @@ def tradeoff_large_gamma(p: RegimeParams) -> TradeoffPoint:
         * (p.s * c1 + c6)
         / (p.s * c1 / p.gamma + c6) ** p.gamma
     )
-    notes = ()
-    if p.q <= p.s * p.g_c / (VANISH_FACTOR * p.gamma):
-        notes = ("vanishing_outage",)
     return TradeoffPoint(
         g_c=p.g_c,
         outage=po.value,
         throughput=(p.c_rate / p.k) / p.g_c,
         source="large_gamma",
         clamped=po.clamped,
-        notes=notes,
+        notes=("vanishing_outage",) if label == "large_gamma_vanishing" else (),
     )
 
 
@@ -354,30 +342,21 @@ def classify_regime(p: RegimeParams) -> Classification:
         "saturation_g_c": p.saturation_g_c,
         "g_c": float(p.g_c),
     }
-    warnings: tuple = ()
     if p.gamma > 1.0:
         proxies["vanish_threshold"] = p.s * p.g_c / (VANISH_FACTOR * p.gamma)
         proxies["sparse_limit"] = p.m / SPARSE_FACTOR
-        if p.g_c > p.m / SPARSE_FACTOR:
-            warnings += (
-                "g_c exceeds m/10; the large-gamma form is outside its range",
-            )
-        label = (
-            "large_gamma_vanishing"
-            if p.q <= proxies["vanish_threshold"]
-            else "large_gamma"
-        )
+        warnings = (("g_c exceeds m/10: the cluster is not small relative to the library",)
+                    if p.g_c > proxies["sparse_limit"] else ())
+        label = "large_gamma_vanishing" if p.q <= proxies["vanish_threshold"] else "large_gamma"
         return Classification(label=label, warnings=warnings, proxies=proxies)
     if p.gamma == 1.0:
-        warnings += ("no tradeoff form is defined at gamma = 1; the hit-rate closed form "
-                     "and the exact sums still apply",)
+        warnings = ("no tradeoff form is defined at gamma = 1; the hit-rate closed form "
+                    "and the exact sums still apply",)
         return Classification(label="boundary_gamma_one", warnings=warnings, proxies=proxies)
     proxies["alpha_scale"] = p.m**p.alpha
     proxies["c3"] = p.c3
     if p.q > proxies["collapse_threshold"]:
-        warnings += (
-            "plateau q exceeds 10x s*g_c/gamma; outage collapses toward 1",
-        )
+        warnings = ("plateau q exceeds 10x s*g_c/gamma; outage collapses toward 1",)
         return Classification(label="collapse", warnings=warnings, proxies=proxies)
     if p.g_c >= p.saturation_g_c:
         label = "r3"
@@ -385,17 +364,21 @@ def classify_regime(p: RegimeParams) -> Classification:
         label = "r1"
     else:
         label = "r2"
-    return Classification(label=label, warnings=warnings, proxies=proxies)
+    return Classification(label=label, warnings=(), proxies=proxies)
 
 
 def theory_points(p: RegimeParams) -> list[TradeoffPoint]:
     """All applicable closed-form points at ``p``'s own geometry.
 
     Emits the hit-rate approximation (or its saturated-regime floor) plus
-    the classified leading-order tradeoff point.  Points never include the
-    exact sum or simulation; ``simulator.curve_points`` and ``sweep`` add
-    those, each with its own tag.
+    the leading-order tradeoff point of ``p``'s regime.  A form that does
+    not apply at ``p``, or whose arithmetic fails there (``ArithmeticError``,
+    such as a power that overflows or underflows to a zero divisor at very
+    large ``gamma``), is skipped.  Points never include the exact sum or
+    simulation; ``simulator.curve_points`` and ``sweep`` add those, each
+    with its own tag.
     """
+    skip = (RegimeError, DomainError, ArithmeticError)
     ck = p.c_rate / p.k
     pts: list[TradeoffPoint] = []
     # the closed form, or past saturation (or at m = 1) the floor, if either applies
@@ -403,17 +386,13 @@ def theory_points(p: RegimeParams) -> list[TradeoffPoint]:
                          ("lower_bound", hit_rate_floor)):
         try:
             v = rate(p)
-        except (RegimeError, DomainError):
+        except skip:
             continue
         pts.append(TradeoffPoint(g_c=p.g_c, outage=1.0 - v.value, throughput=ck / p.g_c,
                                  source=source, clamped=v.clamped))
         break
-    cls = classify_regime(p)
     try:
-        if cls.label in ("r1", "r2", "r3"):
-            pts.append(tradeoff_small_gamma(p, cls.label))
-        elif cls.label.startswith("large_gamma"):
-            pts.append(tradeoff_large_gamma(p))
-    except (RegimeError, DomainError):
+        pts.append(tradeoff_small_gamma(p) if p.gamma < 1 else tradeoff_large_gamma(p))
+    except skip:
         pass
     return pts

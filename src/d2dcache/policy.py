@@ -115,7 +115,10 @@ def waterfill(dist: MZipfDist, s: int, g_c: int) -> CachingPolicy:
     while True:
         hi = min(lo + size, m)
         z = dist._pmf(lo, min(hi + 1, m)) ** (1.0 / phi)
-        inv = 1.0 / z[:hi - lo]
+        # a tilted pmf that underflows to 0 (very large gamma) gives 1/z = inf;
+        # the support ends before that rank, so no inf reaches nu
+        with np.errstate(divide="ignore"):
+            inv = 1.0 / z[:hi - lo]
         inv[0] += carry
         csum = np.cumsum(inv)
         nu_at = np.arange(lo, hi, dtype=np.float64) / csum
@@ -157,7 +160,8 @@ def solve_cutoff_constant(c2: float) -> float:
 
     The solution scales the asymptotic support cutoff of the water-filling
     placement.  ``c2 = 0`` returns exactly 1.  Monotone bisection to an
-    absolute tolerance of 1e-12.
+    absolute tolerance of 1e-12, or to adjacent doubles where they are
+    further apart (``c >= 2**13``).
     """
     if c2 < 0:
         raise DomainError(f"c2 must be >= 0, got {c2}")
@@ -170,10 +174,11 @@ def solve_cutoff_constant(c2: float) -> float:
     lo, hi = 1.0, 2.0
     while residual(hi) < 0.0:
         hi *= 2.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while hi - lo > 1e-12 and lo < mid < hi:
         if residual(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid

@@ -58,15 +58,22 @@ class TestNearGammaOne:
     @pytest.mark.parametrize("q", [20.0, 0.0])
     @pytest.mark.parametrize("gamma", [g for g in NEAR_ONE if g < 1] + [0.6])
     def test_small_gamma_forms(self, gamma, q):
+        # each form at a point of its own regime: near gamma = 1, m**alpha
+        # nears 1, so r1 needs g_c <= 10 while r2 reaches almost to g_c = m;
+        # at gamma = 0.6, saturation is near g_c = 0.6*m
+        near = gamma > 0.99
         p = RegimeParams(gamma, q, 1000, 1, 2000)
         assert_matches(*hit_rate_floor(p), oracle(p)["floor"])
-        r3 = tradeoff_small_gamma(p, "r3")
+        r3 = tradeoff_small_gamma(p)
+        assert r3.source == "small_gamma_r3"
         assert r3.throughput == pytest.approx(oracle(p)["r3_throughput"], rel=1e-13, abs=0)
-        p = RegimeParams(gamma, q, 10**5, 1, 99_000)
-        r2 = tradeoff_small_gamma(p, "r2")
+        p = RegimeParams(gamma, q, 10**5, 1, 99_000 if near else 50_000)
+        r2 = tradeoff_small_gamma(p)
+        assert r2.source == "small_gamma_r2"
         assert_matches(r2.outage, r2.clamped, oracle(p)["r2_outage"])
-        p = RegimeParams(gamma, q, 10**5, 1, 100)
-        r1, want = tradeoff_small_gamma(p, "r1"), oracle(p)
+        p = RegimeParams(gamma, q, 10**5, 1, 10 if near else 100)
+        r1, want = tradeoff_small_gamma(p), oracle(p)
+        assert r1.source == "small_gamma_r1"
         assert r1.throughput == pytest.approx(want["r1_throughput"], rel=1e-13, abs=0)
         # 1 - b/m**alpha: at q = 0, b/m**alpha -> 1 as gamma -> 1, so the
         # outage keeps an absolute, not a relative, accuracy there
@@ -124,8 +131,6 @@ class TestClosedForm:
     def test_single_file_library_is_an_empty_range(self):
         with pytest.raises(RegimeError, match="empty range"):
             hit_rate_closed_form(RegimeParams(5.0, 0.0, 1, 1, 4))
-        with pytest.raises(RegimeError, match="empty range"):
-            tradeoff_small_gamma(RegimeParams(0.5, 0.0, 1, 1, 4), "r2")
 
 
 class TestFloor:
@@ -175,7 +180,7 @@ class TestSmallGammaTradeoff:
         # q = 0 makes c1 = 1 exactly, so t = (c/k)/(rho*m), here at rho = 0.6
         p = RegimeParams(0.6, 0.0, 1000, 1, 600, k=4)
         assert p.rho == 0.6
-        t = tradeoff_small_gamma(p, "r3")
+        t = tradeoff_small_gamma(p)
         assert t.throughput == pytest.approx(0.25 / 600.0, rel=1e-12, abs=0)
         assert t.g_c == 600
         assert t.source == "small_gamma_r3"
@@ -188,39 +193,35 @@ class TestSmallGammaTradeoff:
         p1 = RegimeParams(0.6, 0.0, 10**4, 1, 50)
         p4 = RegimeParams(0.6, 0.0, 128 * 10**4, 1, 200)
         assert p4.c3 == pytest.approx(p1.c3, rel=1e-14, abs=0)
-        t1 = tradeoff_small_gamma(p1, "r1")
-        t4 = tradeoff_small_gamma(p4, "r1")
+        t1 = tradeoff_small_gamma(p1)
+        t4 = tradeoff_small_gamma(p4)
         assert (t1.g_c, t4.g_c) == (50, 200)
+        assert t1.source == t4.source == "small_gamma_r1"
         assert (1 - t4.outage) / (1 - t1.outage) == pytest.approx(
             128.0 ** (-alpha), rel=1e-9, abs=0
         )
 
     def test_r2_throughput_identity(self):
         p = RegimeParams(0.6, 20.0, 1000, 1, 100, k=4, c_rate=2.0)
-        t = tradeoff_small_gamma(p, "r2")
+        t = tradeoff_small_gamma(p)
+        assert t.source == "small_gamma_r2"
         assert t.throughput * t.g_c == pytest.approx(0.5, rel=1e-12, abs=0)
 
     def test_r1_r2_track_exact_outage(self):
         for g_c, regime in ((16, "r1"), (25, "r1"), (100, "r2"), (400, "r2")):
             p = RegimeParams(0.6, 20.0, 1000, 1, g_c)
-            t = tradeoff_small_gamma(p, regime)
+            t = tradeoff_small_gamma(p)
+            assert t.source == f"small_gamma_{regime}"
             ref = 1 - exact_hit(0.6, 20.0, 1000, 1, g_c)
             assert abs(t.outage - ref) <= 0.05, (g_c, t.outage, ref)
 
-    def test_outage_clamped_at_extreme_c3(self):
-        p = RegimeParams(0.6, 0.0, 10**4, 1, 27_783)
-        assert p.c3 == pytest.approx(2000.0, rel=1e-3)
-        t = tradeoff_small_gamma(p, "r1")
-        assert t.outage == 0.0
-        assert t.clamped
-
     def test_rejections(self):
         with pytest.raises(RegimeError, match="tradeoff_large_gamma"):
-            tradeoff_small_gamma(RegimeParams(1.5, 5.0, 1000, 1, 50), "r2")
+            tradeoff_small_gamma(RegimeParams(1.5, 5.0, 1000, 1, 50))
         with pytest.raises(RegimeError, match="collapses"):
-            tradeoff_small_gamma(RegimeParams(0.6, 10_000.0, 10**5, 1, 100), "r2")
-        with pytest.raises(DomainError, match="unknown regime"):
-            tradeoff_small_gamma(RegimeParams(0.6, 1.0, 1000, 1, 50), "r9")
+            tradeoff_small_gamma(RegimeParams(0.6, 10_000.0, 10**5, 1, 100))
+        with pytest.raises(RegimeError, match="gamma = 1"):
+            tradeoff_small_gamma(RegimeParams(1.0, 10.0, 1000, 1, 50))
 
 
 class TestLargeGammaTradeoff:
@@ -307,6 +308,44 @@ class TestClassify:
         assert any("no tradeoff form" in w for w in got.warnings)
 
 
+LABELS = {"r1", "r2", "r3", "collapse", "boundary_gamma_one", "large_gamma",
+          "large_gamma_vanishing"}
+FORM_SOURCES = {
+    tradeoff_small_gamma: {"r1": "small_gamma_r1", "r2": "small_gamma_r2",
+                           "r3": "small_gamma_r3"},
+    tradeoff_large_gamma: {"large_gamma": "large_gamma",
+                           "large_gamma_vanishing": "large_gamma"},
+}
+
+
+def test_forms_follow_the_classification():
+    # over a grid that reaches every label (and the g_c > m/10 warning), each
+    # tradeoff form gives the point of the classified regime where it applies
+    # and raises RegimeError exactly where the classification rules it out
+    seen, warned = set(), 0
+    for gamma in (0.3, 0.6, 1 - 1e-9, 1.0, 1 + 1e-9, 1.28, 1.5, 3.0):
+        for q in (0.0, 20.0, 1e4):
+            for m in (1000, 10**5):
+                for s in (1, 2):
+                    for g_c in (4, 16, 100, 625, 2500, 20_000):
+                        p = RegimeParams(gamma, q, m, s, g_c)
+                        cls = classify_regime(p)
+                        seen.add(cls.label)
+                        warned += cls.label.startswith("large_gamma") and bool(cls.warnings)
+                        for form, sources in FORM_SOURCES.items():
+                            if cls.label not in sources or cls.warnings:
+                                with pytest.raises(RegimeError):
+                                    form(p)
+                                continue
+                            t = form(p)
+                            assert t.source == sources[cls.label], (p, cls)
+                            assert t.g_c == g_c
+                            vanishing = cls.label == "large_gamma_vanishing"
+                            assert ("vanishing_outage" in t.notes) == vanishing
+    assert seen == LABELS
+    assert warned
+
+
 class TestTheoryPoints:
     def test_sources_below_saturation(self):
         pts = theory_points(RegimeParams(0.6, 20.0, 1000, 1, 100, k=4))
@@ -342,6 +381,15 @@ class TestTheoryPoints:
         assert [t.source for t in pts] == ["closed_form"]
         assert pts[0].outage == 1.0 - hit_rate_closed_form(p).value
         assert_matches(1.0 - pts[0].outage, pts[0].clamped, oracle(p)["closed_form"])
+
+    @pytest.mark.parametrize("gamma, sources", [(150.0, ["closed_form"]), (1000.0, [])])
+    def test_skips_forms_whose_arithmetic_fails(self, gamma, sources):
+        # at q = 0 the large-gamma divisor (s*c1/gamma)**gamma underflows to 0,
+        # and at gamma = 1000 a power in the closed form overflows
+        p = RegimeParams(gamma, 0.0, 1000, 1, 100)
+        with pytest.raises(ArithmeticError):
+            tradeoff_large_gamma(p)
+        assert [t.source for t in theory_points(p)] == sources
 
     def test_throughput_consistency(self):
         for g_c in (100, 625):

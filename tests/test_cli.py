@@ -488,6 +488,31 @@ class TestAnalyzeCmd:
         assert sorted(int(ln.split()[3]) for ln in warned) == \
             [nc for nc in counts if nc not in (4, 16, 25, 100, 400, 625)]
 
+    def test_huge_plateau_returns(self, tmp_path):
+        # q = 1e10 puts the cutoff constant past 2**13, where the bisection on
+        # c1 can no longer narrow its bracket to 1e-12
+        scn = scenario_file(tmp_path / "s.json", n=36, m=1000, gamma=0.6, q=1e10,
+                            n_clusters=4, cluster_counts=[4])
+        for cmd in ("policy", "analyze"):
+            assert main([cmd, "--scenario", scn, "--out", str(tmp_path / cmd)]) == 0
+        _, _, rows = read_table(tmp_path / "analyze" / "theory_curves.csv")
+        assert [r["source"] for r in rows] == ["exact_sum", "lower_bound"]
+
+
+@pytest.mark.parametrize("cmd, table", [("analyze", "theory_curves.csv"),
+                                        ("sweep", "tradeoff.csv")])
+@pytest.mark.parametrize("gamma", [150, 1000])
+def test_huge_gamma_skips_failing_closed_forms(tmp_path, cmd, table, gamma):
+    # the large-gamma form divides by a power that underflows to 0, and at
+    # gamma = 1000 the closed form overflows: such rows are left out
+    scn = scenario_file(tmp_path / "s.json", n=10000, m=1000, gamma=gamma, q=0,
+                        cluster_counts=[100, 400], trials=2, seed=1)
+    assert main([cmd, "--scenario", scn, "--out", str(tmp_path / "o")]) == 0
+    _, _, rows = read_table(tmp_path / "o" / table)
+    sources = {r["source"] for r in rows}
+    assert "exact_sum" in sources and "large_gamma" not in sources
+    assert {r["g_c"] for r in rows} == {"100", "25"}
+
 
 class TestSimulateCmd:
     def test_estimate_close_to_exact(self, tmp_path):

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -391,6 +393,28 @@ def test_cutoff_constant_residual_and_monotonicity():
         if prev_pair is not None:
             assert c1 > prev_pair
         prev_pair = c1
+
+
+@pytest.mark.parametrize("c2", [3.4e7, 1e8, 1e12])
+def test_cutoff_constant_returns_past_double_spacing(c2):
+    # from c = 2**13 on, adjacent doubles lie more than 1e-12 apart, so the
+    # bisection ends on the bracket, not on the tolerance
+    c1 = solve_cutoff_constant(c2)
+    assert abs(c1 - 1.0 - c2 * math.log1p(c1 / c2)) <= 2 * math.ulp(c1)
+    with mpmath.workdps(40):  # the residual cancels to O(1) from terms of size c
+        root = mpmath.findroot(lambda c: c - 1 - c2 * mpmath.log1p(c / c2), math.sqrt(2 * c2))
+    assert c1 == pytest.approx(float(root), rel=1e-10, abs=0)
+
+
+def test_waterfill_silent_where_the_tilted_pmf_underflows():
+    # at gamma = 400 every rank past the first few has pmf**(1/phi) = 0
+    d = MZipfDist(400.0, 0.0, 1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pol = waterfill(d, 1, 100)
+    with np.errstate(divide="ignore"):
+        assert_bit_equal(pol, dense_waterfill(d, 1, 100))
+    assert pol.m_star == 2
 
 
 def test_asymptotic_constants():
